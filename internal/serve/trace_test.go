@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
@@ -290,6 +293,116 @@ func TestStatsAndMetricsSurfaceTracing(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics page lacks %q", want)
+		}
+	}
+}
+
+// spanCount counts the spans named name in a span tree.
+func spanCount(sp trace.SpanSnapshot, name string) int {
+	n := 0
+	if sp.Name == name {
+		n++
+	}
+	for _, c := range sp.Children {
+		n += spanCount(c, name)
+	}
+	return n
+}
+
+// TestTraceAttributesSharedWork pins per-request attribution under
+// single-flight: two concurrent cold requests for one analysis on one
+// scope share one ingestion and one computation, and both spans land on
+// the trace of the request that did the work — the request that merely
+// waited records neither. The collector counts each event once.
+func TestTraceAttributesSharedWork(t *testing.T) {
+	const path = "/v1/analyses/funnel"
+	release := make(chan struct{})
+	s := New(Config{Base: gatedSource{inner: core.SliceSource(testRuns(t)), release: release}})
+
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rec := get(t, s, path); rec.Code != http.StatusOK {
+				t.Errorf("GET %s = %d", path, rec.Code)
+			}
+		}()
+	}
+	// Hold the build until both requests have reached the entry, so they
+	// race for the ingestion and the computation behind it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var ent *poolEntry
+		s.pool.mu.Lock()
+		if el, ok := s.pool.byScope[""]; ok {
+			ent = el.Value.(*poolEntry)
+		}
+		s.pool.mu.Unlock()
+		if ent != nil && ent.arrivals.Load() == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("requests never both arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	traces := getTraces(t, s, "/v1/traces").Traces
+	if len(traces) != 2 {
+		t.Fatalf("traces = %d, want 2", len(traces))
+	}
+	var worker, waiter *trace.Snapshot
+	for i := range traces {
+		if _, ok := findSpan(traces[i].Root, "compute"); ok {
+			worker = &traces[i]
+		} else {
+			waiter = &traces[i]
+		}
+	}
+	if worker == nil || waiter == nil {
+		t.Fatal("want exactly one trace with a compute span")
+	}
+	for _, name := range []string{"ingest", "compute"} {
+		if n := spanCount(worker.Root, name); n != 1 {
+			t.Errorf("worker trace has %d %q spans, want 1", n, name)
+		}
+		if n := spanCount(waiter.Root, name); n != 0 {
+			t.Errorf("waiting trace has %d %q spans, want 0", n, name)
+		}
+	}
+	page := get(t, s, "/metrics").Body.String()
+	for _, want := range []string{"specserve_ingests_total 1\n", "specserve_computes_total 1\n"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("metrics lack %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// TestTraceStagesMatchHistograms: one traced request's queue_wait,
+// serialize and compute spans last exactly as long as the samples the
+// same request added to the stage histograms.
+func TestTraceStagesMatchHistograms(t *testing.T) {
+	s, _ := testServer(t, Config{})
+	if rec := get(t, s, "/v1/analyses/clusters?k=2"); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	// Read the histograms before /v1/traces adds a request of its own.
+	sums := map[string]obs.StageSummary{}
+	for _, sg := range s.Stats().Stages {
+		sums[sg.Stage] = sg
+	}
+	tr := getTraces(t, s, "/v1/traces").Traces[0]
+	for _, stage := range []string{obs.StageQueueWait, obs.StageSerialize, obs.StageCompute} {
+		sp, ok := findSpan(tr.Root, stage)
+		if !ok {
+			t.Fatalf("trace lacks %q span", stage)
+		}
+		sg := sums[stage]
+		if sg.Count != 1 || sg.SumNs != sp.DurationNs {
+			t.Errorf("%s: histogram count=%d sum=%dns, span %dns", stage, sg.Count, sg.SumNs, sp.DurationNs)
 		}
 	}
 }
