@@ -370,42 +370,6 @@ func BenchmarkAblationRoundTrip(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationRowVsColumn (D2): computing a yearly mean through the
-// columnar frame vs iterating row structs directly.
-func BenchmarkAblationRowVsColumn(b *testing.B) {
-	ds := dataset(b)
-	b.Run("rows", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = analysis.YearlyMeans(ds.Comparable, (*model.Run).OverallOpsPerWatt)
-		}
-	})
-	b.Run("frame", func(b *testing.B) {
-		fr := analysis.RunsFrame(ds.Comparable)
-		g, err := fr.GroupBy("year")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.AggFloat("overall_eff", "mean", stats.Mean); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("frame-incl-build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			fr := analysis.RunsFrame(ds.Comparable)
-			g, err := fr.GroupBy("year")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := g.AggFloat("overall_eff", "mean", stats.Mean); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationExtrapolationOrder (D3): the paper's two-point
 // (10 %, 20 %) idle extrapolation vs a three-point least-squares fit.
 func BenchmarkAblationExtrapolationOrder(b *testing.B) {

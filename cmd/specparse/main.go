@@ -60,7 +60,7 @@ func main() {
 	}
 	switch *format {
 	case "csv":
-		if err := analysis.RunsFrame(runs).WriteCSV(w); err != nil {
+		if err := analysis.WriteRunsCSV(w, runs); err != nil {
 			log.Fatal(err)
 		}
 	case "json":

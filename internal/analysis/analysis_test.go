@@ -1,7 +1,12 @@
 package analysis
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/csv"
+	"encoding/hex"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/model"
@@ -354,24 +359,58 @@ func TestRecentFeaturesS6(t *testing.T) {
 	}
 }
 
-func TestRunsFrameShape(t *testing.T) {
+func TestWriteRunsCSVShape(t *testing.T) {
 	ds := dataset(t)
-	f := RunsFrame(ds.Comparable)
-	if f.Len() != 676 {
-		t.Fatalf("frame rows = %d", f.Len())
+	var buf bytes.Buffer
+	if err := WriteRunsCSV(&buf, ds.Comparable); err != nil {
+		t.Fatal(err)
 	}
-	for _, col := range []string{
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1+676 || len(rows[0]) != 26 {
+		t.Fatalf("csv = %d rows × %d columns, want header + 676 × 26", len(rows), len(rows[0]))
+	}
+	col := map[string]int{}
+	for i, name := range rows[0] {
+		col[name] = i
+	}
+	for _, name := range []string{
 		"id", "vendor", "year", "sockets", "overall_eff", "idle_frac",
 		"idle_quot", "w_socket_100", "releff_70",
 	} {
-		if !f.Has(col) {
-			t.Errorf("missing column %q", col)
+		if _, ok := col[name]; !ok {
+			t.Errorf("missing column %q", name)
 		}
 	}
 	// Spot-check one derived column against the model.
-	overall := f.MustFloats("overall_eff")
-	if math.Abs(overall[0]-ds.Comparable[0].OverallOpsPerWatt()) > 1e-9 {
+	overall, err := strconv.ParseFloat(rows[1][col["overall_eff"]], 64)
+	if err != nil || math.Abs(overall-ds.Comparable[0].OverallOpsPerWatt()) > 1e-9 {
 		t.Error("overall_eff column mismatches model computation")
+	}
+}
+
+// TestWriteRunsCSVBytes pins the CSV bytes of the default synthetic
+// corpus: the comparable set, and the raw set, whose unparsed runs
+// write NaN metrics as empty cells.
+func TestWriteRunsCSVBytes(t *testing.T) {
+	ds := dataset(t)
+	for stage, want := range map[string]string{
+		"comparable": "5cf68bbe69aca4578f64953dc4d59935ed1707932e9e7e109788d9fa05b640bf",
+		"raw":        "42f095df5a22a61269132b4220735a022ae353a6a8f5ce765fcea06a67011eb6",
+	} {
+		runs := ds.Comparable
+		if stage == "raw" {
+			runs = ds.Raw
+		}
+		h := sha256.New()
+		if err := WriteRunsCSV(h, runs); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%s csv sha256 = %s, want %s", stage, got, want)
+		}
 	}
 }
 

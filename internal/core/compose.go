@@ -71,9 +71,9 @@ func (s MergeSource) Each(workers int, yield func(*model.Run) error) error {
 }
 
 // Parted is implemented by composite sources that decompose into
-// sequential parts whose concatenated streams equal their own. Tracing
-// uses it to give a merged corpus per-source ingest sub-spans without
-// changing what is streamed.
+// sequential parts whose concatenated streams equal their own. The
+// engine streams such a source part by part, so its ingest event
+// carries per-source boundaries without changing what is streamed.
 type Parted interface {
 	// SourceParts returns the parts in drain order, or nil when the
 	// source does not decompose.

@@ -27,7 +27,7 @@ import (
 type Engine struct {
 	src     Source
 	workers int
-	obs     Observer
+	hook    Hook
 
 	dsOnce sync.Once
 	dsDone atomic.Bool
@@ -92,54 +92,51 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
 
-// Observer receives engine lifecycle timings, for serving layers that
-// aggregate them (see internal/obs). Nil fields are skipped; non-nil
-// ones must be safe for concurrent use — analyses compute in parallel.
-// Each callback fires exactly once per actual event: Ingest once per
-// engine that streamed its source (concurrent requests that merely
-// waited on the shared sync.Once do not re-fire it), Compute once per
-// memoized (analysis, params) computation — memo hits are silent.
-type Observer struct {
-	// Ingest is called after the corpus is streamed and classified:
-	// duration of the whole ingestion, runs delivered, and the
-	// ingestion error if any.
-	Ingest func(d time.Duration, runs int, err error)
-	// Compute is called after an analysis function executes (memo
-	// misses only) with the registry name, the canonical parameter
-	// string, the function's own duration (excluding any ingestion it
-	// waited on), and its error.
-	Compute func(name, params string, d time.Duration, err error)
-	// Hit is called when an analysis request finds an existing memo
-	// entry (whether or not its computation has finished yet) — the
-	// cache-hit counterpart of Compute. Fires under no engine lock.
-	Hit func(name, params string)
+// EventKind names one engine lifecycle event.
+type EventKind int
+
+// Engine lifecycle events. Each fires exactly once per occurrence: one
+// ingest per engine and one compute per memoized computation, however
+// many requests waited on them, and one hit per request that found an
+// existing memo entry (computed or still in flight).
+const (
+	EventIngest EventKind = iota + 1
+	EventCompute
+	EventHit
+	// EventKernel carries a count-only kernel progress event (a k-means
+	// Lloyd iteration, an HAC merge batch) from a computation whose
+	// request has an Owner. Kernels never read the clock.
+	EventKernel
+)
+
+// Event is one engine lifecycle event, delivered to the engine's Hook.
+type Event struct {
+	Kind EventKind
+	// Owner is Request.Owner of the request that did the work — the
+	// sync.Once winner for ingestion, the memo-miss request for compute
+	// — so a per-request record shows what its request paid for, never
+	// work it waited on. Nil for work no request owns.
+	Owner        any
+	Name, Params string // compute and hit: the analysis
+	// Ingest: the source, the runs it delivered, and its per-part
+	// boundaries when it decomposes (see Parted).
+	Source string
+	Runs   int
+	Parts  []IngestPart
+	// Start and End bound ingest and compute; the compute span excludes
+	// any ingestion the computation was first to trigger.
+	Start, End time.Time
+	Err        error
+	Kernel     analysis.KernelEvent
 }
 
-// WithObserver installs lifecycle timing callbacks on the engine.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.obs = o }
-}
+// Hook receives every engine event. It must be safe for concurrent use:
+// analyses compute in parallel.
+type Hook func(Event)
 
-// TraceHooks threads one request's trace through the engine. Where
-// Observer aggregates per-engine (every event, whoever caused it),
-// TraceHooks attribute per-request: each callback fires only on the
-// request whose computation actually did the work — the sync.Once
-// winner for ingestion, the memo-miss request for compute — so a trace
-// shows what its request paid for, never work it merely waited on.
-// Callbacks receive explicit timestamps; the hook layer owning the span
-// tree must not re-read the clock. All fields are optional.
-type TraceHooks struct {
-	// Ingest fires after corpus ingestion completes, on the request
-	// that streamed it.
-	Ingest func(tr IngestTrace)
-	// Compute fires after an analysis function returns, on the request
-	// that computed it (memo hits are silent).
-	Compute func(tr ComputeTrace)
-	// Kernel receives kernel progress events (per k-means Lloyd
-	// iteration, per HAC merge batch) from analyses this request
-	// computed. The engine attaches it to the dataset via
-	// analysis.Dataset.WithKernel; it must be safe for concurrent use.
-	Kernel analysis.KernelObserver
+// WithHook installs the engine's lifecycle hook.
+func WithHook(h Hook) Option {
+	return func(e *Engine) { e.hook = h }
 }
 
 // IngestPart is one source's share of a merged corpus ingestion.
@@ -147,24 +144,6 @@ type IngestPart struct {
 	Source     string
 	Start, End time.Time
 	Runs       int
-}
-
-// IngestTrace describes one completed corpus ingestion.
-type IngestTrace struct {
-	Source     string
-	Start, End time.Time
-	Runs       int
-	Err        error
-	// Parts holds per-source boundaries when the source decomposes
-	// (see Parted); empty for single sources.
-	Parts []IngestPart
-}
-
-// ComputeTrace describes one executed analysis function.
-type ComputeTrace struct {
-	Name, Params string
-	Start, End   time.Time
-	Err          error
 }
 
 // WithSeed selects the synthetic corpus with the given generation seed;
@@ -199,74 +178,65 @@ func (e *Engine) Dataset() (*analysis.Dataset, error) {
 	return e.dataset(nil)
 }
 
-// dataset is Dataset with a per-request trace hook. The goroutine that
-// wins the sync.Once — the one that actually streams the corpus — fires
-// both the engine observer and its own hook, so the ingestion span
-// attaches to the request that paid for it; concurrent requests that
-// merely waited report nothing.
-func (e *Engine) dataset(hook *TraceHooks) (*analysis.Dataset, error) {
+// emit delivers ev to the hook, if one is installed.
+func (e *Engine) emit(ev Event) {
+	if e.hook != nil {
+		e.hook(ev)
+	}
+}
+
+// dataset is Dataset on behalf of owner: the goroutine that wins the
+// sync.Once — the one that actually streams the corpus — reports the
+// ingestion as owner's event.
+func (e *Engine) dataset(owner any) (*analysis.Dataset, error) {
 	e.dsOnce.Do(func() {
 		defer e.dsDone.Store(true)
-		start := time.Now()
+		ev := Event{Kind: EventIngest, Owner: owner, Source: e.src.Name(), Start: time.Now()}
 		b := analysis.NewDatasetBuilder()
-		var parts []IngestPart
-		err := e.streamSource(b, hook, &parts)
-		end := time.Now()
-		if err != nil {
-			e.dsErr = fmt.Errorf("core: source %s: %w", e.src.Name(), err)
-			if e.obs.Ingest != nil {
-				e.obs.Ingest(end.Sub(start), 0, e.dsErr)
-			}
-			if hook != nil && hook.Ingest != nil {
-				hook.Ingest(IngestTrace{Source: e.src.Name(),
-					Start: start, End: end, Err: e.dsErr, Parts: parts})
-			}
-			return
+		ev.Parts, ev.Err = e.streamSource(b)
+		ev.End = time.Now()
+		if ev.Err != nil {
+			e.dsErr = fmt.Errorf("core: source %s: %w", e.src.Name(), ev.Err)
+			ev.Err = e.dsErr
+		} else {
+			e.builder = b
+			snap := b.Snapshot()
+			// Analyses with internal parallelism (e.g. the trend tests)
+			// honor the same worker bound as the engine itself.
+			snap.Workers = e.workers
+			e.ds.Store(snap)
+			ev.Runs = len(snap.Raw)
 		}
-		e.builder = b
-		snap := b.Snapshot()
-		// Analyses with internal parallelism (e.g. the trend tests)
-		// honor the same worker bound as the engine itself.
-		snap.Workers = e.workers
-		e.ds.Store(snap)
-		if e.obs.Ingest != nil {
-			e.obs.Ingest(end.Sub(start), len(snap.Raw), nil)
-		}
-		if hook != nil && hook.Ingest != nil {
-			hook.Ingest(IngestTrace{Source: e.src.Name(),
-				Start: start, End: end, Runs: len(snap.Raw), Parts: parts})
-		}
+		e.emit(ev)
 	})
 	return e.ds.Load(), e.dsErr
 }
 
-// streamSource drains the corpus into the builder. On a traced request
-// whose source decomposes (Parted), each part streams separately so the
-// trace gets per-source sub-spans; the merged stream is identical
-// either way because part order is the composite's drain order.
-func (e *Engine) streamSource(b *analysis.DatasetBuilder, hook *TraceHooks, parts *[]IngestPart) error {
+// streamSource drains the corpus into the builder. A source that
+// decomposes (Parted) streams part by part, so the ingest event gets
+// per-source boundaries; the merged stream is identical either way
+// because part order is the composite's drain order.
+func (e *Engine) streamSource(b *analysis.DatasetBuilder) ([]IngestPart, error) {
 	yield := func(r *model.Run) error {
 		b.Add(r)
 		return nil
 	}
-	if hook == nil || hook.Ingest == nil {
-		return e.src.Each(e.workers, yield)
-	}
 	ps := sourceParts(e.src)
 	if len(ps) < 2 {
-		return e.src.Each(e.workers, yield)
+		return nil, e.src.Each(e.workers, yield)
 	}
+	parts := make([]IngestPart, 0, len(ps))
 	for _, p := range ps {
 		start := time.Now()
 		before := b.Len()
 		err := p.Each(e.workers, yield)
-		*parts = append(*parts, IngestPart{Source: p.Name(),
+		parts = append(parts, IngestPart{Source: p.Name(),
 			Start: start, End: time.Now(), Runs: b.Len() - before})
 		if err != nil {
-			return err
+			return parts, err
 		}
 	}
-	return nil
+	return parts, nil
 }
 
 // IngestionFailed reports whether a completed ingestion errored,
@@ -309,11 +279,11 @@ func (e *UnknownAnalysisError) Error() string {
 type Request struct {
 	Name   string
 	Params analysis.Params
-	// Trace, when non-nil, receives this request's lifecycle events.
-	// It never affects memo identity or results — two requests
-	// differing only in Trace share one computation, and only the one
-	// that computes reports.
-	Trace *TraceHooks
+	// Owner is an opaque value identifying who asked, handed back in
+	// the Event of any work this request performs. It never affects
+	// memo identity or results — two requests differing only in Owner
+	// share one computation, and only the one that computes reports.
+	Owner any
 }
 
 // Analysis computes one named analysis with default parameters,
@@ -356,9 +326,7 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 	e.mu.Unlock()
 	if hit {
 		e.memoHits.Add(1)
-		if e.obs.Hit != nil {
-			e.obs.Hit(key.name, key.params)
-		}
+		e.emit(Event{Kind: EventHit, Owner: req.Owner, Name: key.name, Params: key.params})
 	} else {
 		e.memoMisses.Add(1)
 	}
@@ -366,30 +334,24 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 		var ds *analysis.Dataset
 		if !reg.Static {
 			var err error
-			if ds, err = e.dataset(req.Trace); err != nil {
+			if ds, err = e.dataset(req.Owner); err != nil {
 				m.err = err
 				return
 			}
-			if req.Trace != nil && req.Trace.Kernel != nil {
+			if e.hook != nil && req.Owner != nil {
 				// A shallow copy sharing the dataset's cache identity,
-				// so attaching the per-request observer never splits
+				// so attaching the owner's kernel sink never splits
 				// dataset-keyed caches downstream.
-				ds = ds.WithKernel(req.Trace.Kernel)
+				ds = ds.WithKernel(func(k analysis.KernelEvent) {
+					e.hook(Event{Kind: EventKernel, Owner: req.Owner, Kernel: k})
+				})
 			}
 		}
-		// The compute timer starts after dataset so the observer sees
-		// the analysis function's own cost, not the ingestion it may
-		// have been first to trigger — Ingest reports that separately.
-		start := time.Now()
+		// Timed after dataset: EventIngest reports the ingestion.
+		ev := Event{Kind: EventCompute, Owner: req.Owner, Name: key.name, Params: key.params, Start: time.Now()}
 		m.val, m.err = reg.Func(ds, params)
-		end := time.Now()
-		if e.obs.Compute != nil {
-			e.obs.Compute(key.name, key.params, end.Sub(start), m.err)
-		}
-		if req.Trace != nil && req.Trace.Compute != nil {
-			req.Trace.Compute(ComputeTrace{Name: key.name, Params: key.params,
-				Start: start, End: end, Err: m.err})
-		}
+		ev.End, ev.Err = time.Now(), m.err
+		e.emit(ev)
 	})
 	return m.val, m.err
 }
@@ -473,7 +435,7 @@ func (e *Engine) Append(runs []*model.Run) (AppendStats, error) {
 	if len(runs) == 0 {
 		return st, nil
 	}
-	if _, err := e.dataset(nil); err != nil {
+	if _, err := e.Dataset(); err != nil {
 		return st, err
 	}
 	e.appendMu.Lock()

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/model"
@@ -672,29 +671,29 @@ func TestEngineObserver(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []computeEvent
-	eng := New(WithSource(SliceSource(runs)), WithObserver(Observer{
-		Ingest: func(d time.Duration, n int, err error) {
-			if err != nil {
-				t.Errorf("ingest observer got error: %v", err)
+	eng := New(WithSource(SliceSource(runs)), WithHook(func(ev Event) {
+		switch ev.Kind {
+		case EventIngest:
+			if ev.Err != nil {
+				t.Errorf("ingest observer got error: %v", ev.Err)
 			}
-			if d <= 0 {
+			if ev.End.Sub(ev.Start) <= 0 {
 				t.Error("ingest observer got non-positive duration")
 			}
 			ingests.Add(1)
-			ingestRuns.Store(int64(n))
-		},
-		Compute: func(name, params string, d time.Duration, err error) {
-			if err != nil {
-				t.Errorf("compute observer got error for %s: %v", name, err)
+			ingestRuns.Store(int64(ev.Runs))
+		case EventCompute:
+			if ev.Err != nil {
+				t.Errorf("compute observer got error for %s: %v", ev.Name, ev.Err)
 			}
-			if d < 0 {
-				t.Errorf("compute observer got negative duration for %s", name)
+			if ev.End.Sub(ev.Start) < 0 {
+				t.Errorf("compute observer got negative duration for %s", ev.Name)
 			}
 			computes.Add(1)
 			mu.Lock()
-			events = append(events, computeEvent{name, params})
+			events = append(events, computeEvent{ev.Name, ev.Params})
 			mu.Unlock()
-		},
+		}
 	}))
 
 	const goroutines = 8
@@ -745,14 +744,15 @@ func TestEngineObserver(t *testing.T) {
 func TestEngineObserverIngestError(t *testing.T) {
 	var gotErr error
 	var calls int
-	eng := New(WithSource(failingSource{}), WithObserver(Observer{
-		Ingest: func(d time.Duration, n int, err error) {
-			calls++
-			gotErr = err
-			if n != 0 {
-				t.Errorf("failed ingest reported %d runs", n)
-			}
-		},
+	eng := New(WithSource(failingSource{}), WithHook(func(ev Event) {
+		if ev.Kind != EventIngest {
+			return
+		}
+		calls++
+		gotErr = ev.Err
+		if ev.Runs != 0 {
+			t.Errorf("failed ingest reported %d runs", ev.Runs)
+		}
 	}))
 	if _, err := eng.Dataset(); err == nil {
 		t.Fatal("failing source should error")
@@ -762,8 +762,52 @@ func TestEngineObserverIngestError(t *testing.T) {
 	}
 }
 
+// TestEngineHookOwner: each event carries the Owner of the request that
+// did the work, hits carry the asker, unowned work reports a nil owner,
+// and kernel events reach the hook only from owned computations.
+func TestEngineHookOwner(t *testing.T) {
+	runs, err := GenerateCorpus(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var seq []string
+	kernels := map[any]int{}
+	eng := New(WithSource(SliceSource(runs)), WithHook(func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Kind == EventKernel {
+			kernels[ev.Owner]++
+			return
+		}
+		seq = append(seq, fmt.Sprintf("%d:%v", ev.Kind, ev.Owner))
+	}))
+	reg, _ := analysis.Lookup("clusters")
+	k2, err := reg.Params.Resolve(map[string]string{"k": "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Name: "funnel", Owner: "a"},
+		{Name: "funnel", Owner: "b"},
+		{Name: "clusters", Params: k2, Owner: "c"},
+		{Name: "fig3"},
+	} {
+		if _, err := eng.AnalysisRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a ingests and computes, b hits, c computes, fig3 is unowned.
+	if got, want := fmt.Sprint(seq), "[1:a 2:a 3:b 2:c 2:<nil>]"; got != want {
+		t.Errorf("events = %s, want %s", got, want)
+	}
+	if len(kernels) != 1 || kernels["c"] == 0 {
+		t.Errorf("kernel events by owner = %v, want c's only", kernels)
+	}
+}
+
 // TestEngineMemoStats: hits + misses equals AnalysisRequest calls, the
-// Observer.Hit callback fires once per hit, and RunsIngested reports
+// EventHit event fires once per hit, and RunsIngested reports
 // the corpus size only after a successful ingestion.
 func TestEngineMemoStats(t *testing.T) {
 	registerMemoProbe()
@@ -772,13 +816,14 @@ func TestEngineMemoStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(WithSource(SliceSource(runs)), WithObserver(Observer{
-		Hit: func(name, params string) {
-			if name != "test_memo_probe" || params != "" {
-				t.Errorf("Hit(%q, %q)", name, params)
-			}
-			hits.Add(1)
-		},
+	eng := New(WithSource(SliceSource(runs)), WithHook(func(ev Event) {
+		if ev.Kind != EventHit {
+			return
+		}
+		if ev.Name != "test_memo_probe" || ev.Params != "" {
+			t.Errorf("Hit(%q, %q)", ev.Name, ev.Params)
+		}
+		hits.Add(1)
 	}))
 	if got := eng.RunsIngested(); got != 0 {
 		t.Errorf("RunsIngested before ingestion = %d, want 0", got)
@@ -793,7 +838,7 @@ func TestEngineMemoStats(t *testing.T) {
 		t.Errorf("MemoStats = %+v, want 1 miss, 4 hits, 1 entry", st)
 	}
 	if hits.Load() != 4 {
-		t.Errorf("Observer.Hit fired %d times, want 4", hits.Load())
+		t.Errorf("EventHit fired %d times, want 4", hits.Load())
 	}
 	if got := eng.RunsIngested(); got != len(runs) {
 		t.Errorf("RunsIngested = %d, want %d", got, len(runs))

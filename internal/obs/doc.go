@@ -6,15 +6,16 @@
 //
 // # Timing
 //
-// A request's life is split into flat stages — queue wait at the
-// concurrency gate, engine build, corpus ingestion, analysis compute,
-// response serialization — each recorded as nanoseconds in a
-// RequestMetrics and aggregated by a Collector into fixed-bucket
-// histograms (per stage, and per analysis for end-to-end latency).
-// The Collector serves two consumers: an enriched JSON snapshot for
-// /v1/stats (bucketed p50/p95 estimates per analysis) and a
-// Prometheus-text /metrics exposition (WritePrometheus), so existing
-// scrape tooling works without a client library dependency.
+// The serving layer keeps one record per request and, when the
+// request ends, derives a RequestMetrics from it (queue wait,
+// serialization, total, status) together with the log line, the evlog
+// event and the optional trace, so the views cannot disagree. Engine
+// build, ingestion and compute arrive once per actual event
+// (ObserveBuild, ObserveIngest, ObserveCompute). The Collector folds
+// both into fixed-bucket histograms (per stage, and per analysis for
+// end-to-end latency) for two consumers: a JSON snapshot for /v1/stats
+// and a Prometheus-text /metrics exposition (WritePrometheus), so
+// existing scrape tooling works without a client library dependency.
 //
 // # Audit
 //
@@ -52,13 +53,13 @@
 //
 // The histograms above answer "how slow are requests like this"; the
 // obs/trace subpackage answers "where did this request spend its
-// time". Each request gets a Trace — a tree of timed Spans with
-// ordered attributes, carrying W3C trace-context identity — built by
-// the serving layer as the request crosses the same stages the
-// Collector aggregates, plus kernel-level child spans (one per k-means
-// iteration or HAC merge batch) fed by count-only observer callbacks
-// so the analyses themselves stay clock-free. Completed traces are
-// published to a bounded lock-free Ring and served by /v1/traces.
+// time". A Trace is a tree of timed Spans with ordered attributes,
+// carrying W3C trace-context identity, rendered by the serving layer
+// from the finished per-request record — the same timestamps the
+// Collector saw — plus kernel-level child spans (one per k-means
+// iteration or HAC merge batch) from count-only engine events, so the
+// analyses themselves stay clock-free. Completed traces are published
+// to a bounded lock-free Ring and served by /v1/traces.
 //
 // RuntimeSampler rounds out the picture: sampled at /metrics scrape
 // time, it renders goroutine count, heap gauges, GC cycle count, and a

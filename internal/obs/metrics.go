@@ -7,9 +7,6 @@ import (
 	"time"
 )
 
-// nsDuration converts observer nanoseconds to a time.Duration.
-func nsDuration(ns int64) time.Duration { return time.Duration(ns) }
-
 // Stage names for per-stage timing. They are the `stage` label of the
 // Prometheus exposition and the keys of the /v1/stats stage breakdown,
 // so they are part of the wire contract.
@@ -26,27 +23,22 @@ var Stages = []string{
 	StageQueueWait, StageEngineBuild, StageIngest, StageCompute, StageSerialize,
 }
 
-// RequestMetrics is one request's flat per-stage timing, nanoseconds
-// per stage as the request experienced them. Stages the request never
-// entered stay zero: a warm hit has no build/ingest/compute time, a 304
-// has no serialize time. EngineBuildNs, IngestNs, and ComputeNs are
-// wall-clock from the request's perspective — under single-flight
-// construction, concurrent requests for one cold scope each observe the
-// shared build they waited on. The true once-per-event costs are
-// aggregated separately from the engine's own observer callbacks.
+// RequestMetrics is the Collector's view of one finished request,
+// derived from the serving layer's per-request record when the
+// response is done. Stages the request never entered stay zero: a 304
+// has no serialize time. Build, ingest and compute are absent on
+// purpose — they reach the Collector once per actual event (see
+// ObserveBuild, ObserveIngest, ObserveCompute), not once per request
+// that waited on them.
 type RequestMetrics struct {
 	// Analysis is the registry name served ("" for non-analysis
-	// endpoints); Params its canonical parameter string.
+	// endpoints).
 	Analysis string
-	Params   string
 	// Status is the final HTTP status.
 	Status int
 
-	QueueWaitNs   int64
-	EngineBuildNs int64
-	IngestNs      int64
-	ComputeNs     int64
-	SerializeNs   int64
+	QueueWaitNs int64
+	SerializeNs int64
 	// TotalNs covers the whole request, gate entry to response end.
 	TotalNs int64
 }
@@ -55,11 +47,14 @@ type RequestMetrics struct {
 // end-to-end latency histogram per analysis, and the event counters the
 // exposition reports. All methods are safe for concurrent use.
 type Collector struct {
+	// stages holds one histogram per Stages entry, fixed at
+	// construction and only read afterwards, so lookups take no lock.
+	stages map[string]*Histogram
+
 	mu         sync.Mutex
-	stages     map[string]*Histogram
 	byAnalysis map[string]*Histogram
 
-	// Event counters fed by the serving layer and engine observers.
+	// Event counters fed by the serving layer and the engine hook.
 	// Engine builds are deliberately absent: the pool that performs
 	// them owns that count, and the exposition takes it as a gauge
 	// input so the two surfaces cannot drift.
@@ -74,21 +69,14 @@ type Collector struct {
 
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector {
-	return &Collector{
+	c := &Collector{
 		stages:     make(map[string]*Histogram, len(Stages)),
 		byAnalysis: make(map[string]*Histogram),
 	}
-}
-
-func (c *Collector) stageHist(stage string) *Histogram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := c.stages[stage]
-	if h == nil {
-		h = &Histogram{}
-		c.stages[stage] = h
+	for _, stage := range Stages {
+		c.stages[stage] = &Histogram{}
 	}
-	return h
+	return c
 }
 
 func (c *Collector) analysisHist(name string) *Histogram {
@@ -106,12 +94,7 @@ func (c *Collector) analysisHist(name string) *Histogram {
 // request-owned stages (queue wait, serialize) into their stage
 // histograms, the total into the analysis's latency histogram (when
 // the request named one), and the status into the request/304/error
-// counters. Build, ingest, and compute stages are deliberately NOT
-// folded in here — those histograms aggregate the true once-per-event
-// costs via ObserveBuild/ObserveIngest/ObserveCompute, while the
-// RequestMetrics fields record the wall-clock this request spent
-// waiting on them (possibly shared under single-flight), which would
-// double count.
+// counters.
 func (c *Collector) ObserveRequest(m *RequestMetrics) {
 	if m == nil {
 		return
@@ -126,47 +109,43 @@ func (c *Collector) ObserveRequest(m *RequestMetrics) {
 		c.clientErrs.Add(1)
 	}
 	if m.QueueWaitNs > 0 {
-		c.stageHist(StageQueueWait).Observe(nsDuration(m.QueueWaitNs))
+		c.stages[StageQueueWait].Observe(time.Duration(m.QueueWaitNs))
 	}
 	if m.SerializeNs > 0 {
-		c.stageHist(StageSerialize).Observe(nsDuration(m.SerializeNs))
+		c.stages[StageSerialize].Observe(time.Duration(m.SerializeNs))
 	}
 	if m.Analysis != "" && m.TotalNs > 0 {
-		c.analysisHist(m.Analysis).Observe(nsDuration(m.TotalNs))
+		c.analysisHist(m.Analysis).Observe(time.Duration(m.TotalNs))
 	}
 }
 
 // ObserveBuild records one engine construction (pool miss) into the
 // stage histogram; the build count itself is owned by the pool.
 func (c *Collector) ObserveBuild(ns int64) {
-	c.stageHist(StageEngineBuild).Observe(nsDuration(ns))
+	c.stages[StageEngineBuild].Observe(time.Duration(ns))
 }
 
-// ObserveIngest records one corpus ingestion, as reported by the
-// engine's observer — the once-per-engine cost, counted exactly once no
-// matter how many requests waited on it.
+// ObserveIngest records one corpus ingestion — the once-per-engine
+// cost, counted exactly once no matter how many requests waited on it.
 func (c *Collector) ObserveIngest(ns int64) {
 	c.ingests.Add(1)
-	c.stageHist(StageIngest).Observe(nsDuration(ns))
+	c.stages[StageIngest].Observe(time.Duration(ns))
 }
 
 // ObserveCompute records one analysis computation (memo miss). The
 // per-analysis histograms aggregate request latency, not compute time —
 // compute feeds only the stage histogram, so a memoized analysis's
 // request latency distribution stays comparable across hit and miss.
-func (c *Collector) ObserveCompute(name string, ns int64) {
-	_ = name // labels the stage in a future per-analysis compute split
+func (c *Collector) ObserveCompute(ns int64) {
 	c.computes.Add(1)
-	c.stageHist(StageCompute).Observe(nsDuration(ns))
+	c.stages[StageCompute].Observe(time.Duration(ns))
 }
 
-// ObserveMemoHit records one engine memo-cache hit, as reported by the
-// engine's Observer.Hit. With ObserveCompute counting the misses, the
-// pair yields the fleet-wide memo hit ratio — and, unlike per-engine
-// counters, survives engine eviction.
-func (c *Collector) ObserveMemoHit(name, params string) {
-	_ = name // labels a future per-analysis hit split
-	_ = params
+// ObserveMemoHit records one engine memo-cache hit. With
+// ObserveCompute counting the misses, the pair yields the fleet-wide
+// memo hit ratio — and, unlike per-engine counters, survives engine
+// eviction.
+func (c *Collector) ObserveMemoHit() {
 	c.memoHits.Add(1)
 }
 
@@ -227,28 +206,29 @@ func summarize(s HistogramSnapshot) (p50, p95, p99, mean int64) {
 		s.SumNs / int64(s.Count)
 }
 
+// analyses returns the per-analysis latency histograms, sorted by name.
+func (c *Collector) analyses() (names []string, hists []*Histogram) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	names = make([]string, 0, len(c.byAnalysis))
+	for name := range c.byAnalysis {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	hists = make([]*Histogram, len(names))
+	for i, name := range names {
+		hists[i] = c.byAnalysis[name]
+	}
+	return names, hists
+}
+
 // Summarize returns the bucketed percentile summaries for every stage
 // (in canonical order) and analysis (sorted by name) with at least one
 // observation.
 func (c *Collector) Summarize() Summary {
-	c.mu.Lock()
-	stages := make(map[string]*Histogram, len(c.stages))
-	for k, v := range c.stages {
-		stages[k] = v
-	}
-	analyses := make(map[string]*Histogram, len(c.byAnalysis))
-	for k, v := range c.byAnalysis {
-		analyses[k] = v
-	}
-	c.mu.Unlock()
-
 	var out Summary
 	for _, stage := range Stages {
-		h := stages[stage]
-		if h == nil {
-			continue
-		}
-		snap := h.Snapshot()
+		snap := c.stages[stage].Snapshot()
 		if snap.Count == 0 {
 			continue
 		}
@@ -258,13 +238,9 @@ func (c *Collector) Summarize() Summary {
 			P50Ns: p50, P95Ns: p95, P99Ns: p99, MeanNs: mean,
 		})
 	}
-	names := make([]string, 0, len(analyses))
-	for name := range analyses {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snap := analyses[name].Snapshot()
+	names, hists := c.analyses()
+	for i, name := range names {
+		snap := hists[i].Snapshot()
 		if snap.Count == 0 {
 			continue
 		}

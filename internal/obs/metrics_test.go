@@ -84,7 +84,7 @@ func TestCollectorSummarize(t *testing.T) {
 	c.ObserveRequest(&RequestMetrics{Status: 400, TotalNs: 1_000})
 	c.ObserveBuild(3_000_000)
 	c.ObserveIngest(9_000_000)
-	c.ObserveCompute("fig3", 4_000_000)
+	c.ObserveCompute(4_000_000)
 
 	sum := c.Summarize()
 	byStage := map[string]StageSummary{}
@@ -131,7 +131,7 @@ func TestCollectorConcurrent(t *testing.T) {
 					Analysis: "fig3", Status: 200,
 					QueueWaitNs: 100, SerializeNs: 100, TotalNs: 1_000,
 				})
-				c.ObserveCompute("fig3", 1_000)
+				c.ObserveCompute(1_000)
 			}
 		}()
 	}

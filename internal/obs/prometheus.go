@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -188,34 +187,19 @@ func (c *Collector) WritePrometheus(w io.Writer, g ServerGauges) {
 		counter("specserve_appended_runs_total", "Runs folded into the live corpus across all appends.", g.AppendedRunsTotal)
 	}
 
-	c.mu.Lock()
-	stages := make(map[string]*Histogram, len(c.stages))
-	for k, v := range c.stages {
-		stages[k] = v
-	}
-	analyses := make(map[string]*Histogram, len(c.byAnalysis))
-	for k, v := range c.byAnalysis {
-		analyses[k] = v
-	}
-	c.mu.Unlock()
-
 	writeHeader(w, "specserve_stage_duration_seconds", "histogram",
 		"Time spent per request lifecycle stage (queue_wait and serialize per request; engine_build, ingest, and compute once per actual event).")
 	for _, stage := range Stages {
-		if h := stages[stage]; h != nil {
-			writeHistogram(w, "specserve_stage_duration_seconds", "stage", stage, h.Snapshot())
+		if snap := c.stages[stage].Snapshot(); snap.Count > 0 {
+			writeHistogram(w, "specserve_stage_duration_seconds", "stage", stage, snap)
 		}
 	}
 
-	names := make([]string, 0, len(analyses))
-	for name := range analyses {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names, hists := c.analyses()
 	writeHeader(w, "specserve_request_duration_seconds", "histogram",
 		"End-to-end request latency per served analysis.")
-	for _, name := range names {
-		writeHistogram(w, "specserve_request_duration_seconds", "analysis", name, analyses[name].Snapshot())
+	for i, name := range names {
+		writeHistogram(w, "specserve_request_duration_seconds", "analysis", name, hists[i].Snapshot())
 	}
 }
 

@@ -20,11 +20,6 @@ type Attr struct {
 // Span is one timed operation inside a trace. Children and attributes
 // may be added from any goroutine until the span is finished; a span
 // finished twice keeps its first end time.
-//
-// A nil *Span is a valid no-op receiver for Child, ChildAt, Finish,
-// FinishAt, and SetAttr (Child/ChildAt return nil), so a serving layer
-// with tracing disabled threads nil spans through the same call sites
-// instead of branching at each one.
 type Span struct {
 	name  string
 	start time.Time
@@ -35,24 +30,9 @@ type Span struct {
 	children []*Span
 }
 
-// Name returns the span's operation name.
-func (s *Span) Name() string { return s.name }
-
-// Start returns the span's start time.
-func (s *Span) Start() time.Time { return s.start }
-
-// Child starts a child span now.
-func (s *Span) Child(name string) *Span {
-	return s.ChildAt(name, time.Now())
-}
-
-// ChildAt starts a child span with an explicit start time — the hook
-// for layers that already hold a timestamp (the engine's ingest
-// callback, kernel event sinks) and must not read the clock twice.
+// ChildAt starts a child span at start. Callers pass timestamps they
+// already hold, so building a span tree never reads the clock.
 func (s *Span) ChildAt(name string, start time.Time) *Span {
-	if s == nil {
-		return nil
-	}
 	c := &Span{name: name, start: start}
 	s.mu.Lock()
 	s.children = append(s.children, c)
@@ -60,14 +40,8 @@ func (s *Span) ChildAt(name string, start time.Time) *Span {
 	return c
 }
 
-// Finish ends the span now.
-func (s *Span) Finish() { s.FinishAt(time.Now()) }
-
 // FinishAt ends the span at an explicit time. The first finish wins.
 func (s *Span) FinishAt(t time.Time) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	if s.end.IsZero() {
 		s.end = t
@@ -77,9 +51,6 @@ func (s *Span) FinishAt(t time.Time) {
 
 // SetAttr appends one attribute.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 	s.mu.Unlock()

@@ -135,10 +135,10 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := root.Child(fmt.Sprintf("g%d-%d", g, i))
+				sp := root.ChildAt(fmt.Sprintf("g%d-%d", g, i), time.Now())
 				sp.SetAttr("i", fmt.Sprint(i))
-				sp.Finish()
-				sp.Finish() // double finish keeps the first end
+				sp.FinishAt(time.Now())
+				sp.FinishAt(time.Now()) // double finish keeps the first end
 			}
 		}(g)
 	}
@@ -152,7 +152,7 @@ func TestConcurrentSpans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	root.Finish()
+	root.FinishAt(time.Now())
 	snap := tr.Snapshot()
 	if len(snap.Root.Children) != 800 {
 		t.Fatalf("children %d, want 800", len(snap.Root.Children))
@@ -171,7 +171,7 @@ func TestRingWraparound(t *testing.T) {
 	}
 	mk := func(i int) *Trace {
 		tr := New(fmt.Sprintf("t%d", i), "", time.Now())
-		tr.Root().Finish()
+		tr.Root().FinishAt(time.Now())
 		return tr
 	}
 	for i := 0; i < 10; i++ {
@@ -208,7 +208,7 @@ func TestRingConcurrentAdd(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tr := New("c", "", time.Now())
-				tr.Root().Finish()
+				tr.Root().FinishAt(time.Now())
 				r.Add(tr)
 				_ = r.Snapshot()
 			}

@@ -66,14 +66,17 @@
 //
 // # Observability
 //
-// Every request carries an obs.RequestMetrics through its context: the
-// gate records queue wait, the handlers record engine acquisition,
-// compute, and serialize spans, and the outermost middleware folds the
-// finished request into the server's obs.Collector (and emits the
-// Config.Logf line). Engine-side events — corpus ingestion, memo-miss
-// computations — are timed by the engines themselves via core.Observer
-// and flow into the same collector, once per actual event rather than
-// once per request, so single-flight sharing cannot inflate them. The
+// Every request carries one record through its context: its root
+// attributes and the stages it entered (queue_wait, build, ingest,
+// compute, serialize), each boundary read from the clock once. Every
+// pooled engine carries one core.Hook, fired once per ingest, compute
+// and memo hit and tagged with the Owner of the request that did the
+// work; the pool fans each event out to the server's obs.Collector
+// and, when owned, to that request's record. When the request ends,
+// the outermost middleware derives the Collector observation, the
+// Config.Logf line, the evlog event and the optional trace from the
+// record. Ingest and compute count once per actual event, so
+// single-flight sharing cannot inflate them. The
 // aggregates surface twice from one source: /v1/stats as JSON (stage
 // and per-analysis percentile summaries) and /metrics as Prometheus
 // text exposition (cumulative histograms and counters, plus a
@@ -101,19 +104,18 @@
 // # Tracing
 //
 // Histograms aggregate; traces explain. Unless Config.TraceBufferSize
-// is negative, each request also carries an obs/trace tracer: the
-// middleware opens a root span (adopting an inbound W3C Traceparent
-// header and echoing the outbound one), the gate and handlers hang
-// stage child spans off it, and engine-side events arrive through
-// core.TraceHooks — fired only on the request that actually paid for
-// the ingestion or computation, so warm traces have no compute span.
-// Kernel-depth spans (per k-means iteration, per HAC merge batch) come
-// from count-only observer callbacks injected per request; the tracer
-// timestamps them on receipt, keeping registered analyses clock-free
-// under specvet's determinism gate. Completed traces are published to
-// a bounded lock-free ring served by /v1/traces, Config.SlowTrace logs
-// one line per slower-than-threshold request with its trace id, and
-// the id also rides the audit record for the same response.
+// is negative, the middleware mints a trace identity per request
+// (adopting an inbound W3C Traceparent header and echoing the outbound
+// one) and, when the request ends, renders the record as the span
+// tree. Ingest and compute spans appear only on the request that paid
+// for that work, so warm traces have no compute span. Kernel-depth
+// spans (per k-means iteration, per HAC merge batch) come from
+// count-only engine events the record stamps on receipt, keeping
+// registered analyses clock-free under specvet's determinism gate.
+// Completed traces are published to a bounded lock-free ring served by
+// /v1/traces, Config.SlowTrace logs one line per slower-than-threshold
+// request with its trace id, and the id also rides the audit record
+// for the same response.
 //
 // # Audit
 //

@@ -182,6 +182,29 @@ func (g gatedSource) Fingerprint() (string, error) {
 	return core.Digest("gated", g.inner.Name()), nil
 }
 
+// awaitCohort waits until n requests have arrived at the unfiltered
+// scope's pool entry (arrivals is bumped before the build's once, so
+// this converges while a gatedSource holds the build).
+func awaitCohort(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var ent *poolEntry
+		s.pool.mu.Lock()
+		if el, ok := s.pool.byScope[""]; ok {
+			ent = el.Value.(*poolEntry)
+		}
+		s.pool.mu.Unlock()
+		if ent != nil && ent.arrivals.Load() == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cohort never assembled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPoolBuildJoins parks N concurrent cold requests on one
 // single-flight build and asserts the pool logs exactly one pool_build
 // with joins=N-1 — the joins counter is who waited, not who asked.
@@ -206,24 +229,8 @@ func TestPoolBuildJoins(t *testing.T) {
 		}()
 	}
 
-	// Release the build only once the whole cohort has arrived at the
-	// entry (arrivals is bumped before the once, so this converges).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var ent *poolEntry
-		s.pool.mu.Lock()
-		if el, ok := s.pool.byScope[""]; ok {
-			ent = el.Value.(*poolEntry)
-		}
-		s.pool.mu.Unlock()
-		if ent != nil && ent.arrivals.Load() == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cohort never assembled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Release the build only once the whole cohort has arrived.
+	awaitCohort(t, s, n)
 	close(release)
 	wg.Wait()
 

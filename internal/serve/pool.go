@@ -89,9 +89,9 @@ type poolEntry struct {
 }
 
 // enginePool maps canonical scopes to engines, LRU-bounded. Every
-// engine it builds carries the pool's core.Observer, so ingest and
-// compute timings flow into the shared collector no matter which scope
-// they happen on.
+// engine it builds carries the pool's hook, so ingest and compute
+// timings flow into the shared collector no matter which scope they
+// happen on.
 type enginePool struct {
 	base    core.Source
 	workers int
@@ -138,16 +138,20 @@ func newEnginePool(base core.Source, live *core.AppendSource, workers, max int, 
 	}
 }
 
-// observer bridges engine lifecycle events into the collector.
-func (p *enginePool) observer() core.Observer {
-	return core.Observer{
-		Ingest: func(d time.Duration, runs int, err error) {
-			p.metrics.ObserveIngest(d.Nanoseconds())
-		},
-		Compute: func(name, params string, d time.Duration, err error) {
-			p.metrics.ObserveCompute(name, d.Nanoseconds())
-		},
-		Hit: p.metrics.ObserveMemoHit,
+// observe is every pooled engine's hook: each event feeds the shared
+// collector once, and an event a request owns also lands in that
+// request's record.
+func (p *enginePool) observe(ev core.Event) {
+	switch ev.Kind {
+	case core.EventIngest:
+		p.metrics.ObserveIngest(ev.End.Sub(ev.Start).Nanoseconds())
+	case core.EventCompute:
+		p.metrics.ObserveCompute(ev.End.Sub(ev.Start).Nanoseconds())
+	case core.EventHit:
+		p.metrics.ObserveMemoHit()
+	}
+	if rec, ok := ev.Owner.(*record); ok {
+		rec.engineEvent(ev)
 	}
 }
 
@@ -188,7 +192,7 @@ func (p *enginePool) get(sc scope, traceID string) (*poolEntry, error) {
 		ent.src = src
 		ent.keep = sc.keep
 		ent.eng = core.New(core.WithSource(src), core.WithWorkers(p.workers),
-			core.WithObserver(p.observer()))
+			core.WithHook(p.observe))
 		// The build stage covers fingerprinting plus construction;
 		// ingestion stays lazy and is timed by the engine itself.
 		dur := time.Since(start)

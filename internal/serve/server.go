@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/analysis"
@@ -388,24 +389,11 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	m := requestMetrics(r)
-	m.Analysis = name
-	m.Params = params.Canonical()
-	t := requestTracer(r)
-	root := t.root()
-	root.SetAttr("analysis", name)
-	if p := params.Canonical(); p != "" {
-		root.SetAttr("params", p)
-	}
-	if sc.expr != "" {
-		root.SetAttr("filter", sc.expr)
-	}
-	poolStart := time.Now()
-	ent, err := s.pool.get(sc, t.id())
-	buildEnd := time.Now()
-	m.EngineBuildNs = buildEnd.Sub(poolStart).Nanoseconds()
-	bsp := root.ChildAt("build", poolStart)
-	bsp.FinishAt(buildEnd)
+	rec := requestRecord(r)
+	rec.analysis, rec.params, rec.filter = name, params.Canonical(), sc.expr
+	start := time.Now()
+	ent, err := s.pool.get(sc, rec.traceID())
+	rec.add("build", start, time.Now())
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -420,17 +408,15 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	// The canonical param string joins the validator identity, so
 	// ?k=3 and ?k=5 on one scope revalidate independently while two
 	// spellings of the same parameterization share one ETag.
-	etag := etagFor(fingerprint, "analysis", name, sc.expr, params.Canonical())
-	root.SetAttr("etag", etag)
+	etag := etagFor(fingerprint, "analysis", name, sc.expr, rec.params)
+	rec.etag = etag
 	if notModified(r, etag) {
 		ent.live.RUnlock()
 		writeValidator(w, etag)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	computeStart := time.Now()
-	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Trace: t.hooks()})
-	m.ComputeNs = time.Since(computeStart).Nanoseconds()
+	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Owner: rec})
 	if err != nil {
 		ent.live.RUnlock()
 		// A broken corpus poisons every analysis of the scope: drop the
@@ -438,7 +424,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		// replaying the memoized failure forever. An analysis that
 		// errors on a healthy corpus keeps its (cheap, memoized) entry.
 		if ent.eng.IngestionFailed() {
-			s.pool.dropReason(ent, "ingestion_failed", t.id())
+			s.pool.dropReason(ent, "ingestion_failed", rec.traceID())
 		}
 		// Parameter combinations the per-key validation cannot see
 		// (hac without k or cut, k beyond the scope's corpus) blame the
@@ -451,24 +437,20 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	serializeStart := time.Now()
+	start = time.Now()
 	body, err := encodeJSON(analysisResponse{
 		Name:        name,
 		Description: reg.Description,
 		Filter:      sc.expr,
-		Params:      params.Canonical(),
+		Params:      rec.params,
 		Value:       v,
 	})
-	serializeEnd := time.Now()
-	m.SerializeNs = serializeEnd.Sub(serializeStart).Nanoseconds()
+	rec.add(obs.StageSerialize, start, time.Now(), trace.Attr{Key: "bytes", Value: strconv.Itoa(len(body))})
 	if err != nil {
 		ent.live.RUnlock()
 		httpError(w, http.StatusInternalServerError, fmt.Sprintf("encode response: %v", err))
 		return
 	}
-	ssp := root.ChildAt("serialize", serializeStart)
-	ssp.SetAttr("bytes", fmt.Sprint(len(body)))
-	ssp.FinishAt(serializeEnd)
 	// The validator is attached only now, to a response that represents
 	// the resource — an error above must not hand out an ETag that
 	// would later revalidate to a misleading 304. The audit record
@@ -476,9 +458,8 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	// fingerprint + canonical params identity the ETag derives from,
 	// and both the record and the trace carry the digest so a span can
 	// be matched to its audit row (and vice versa).
-	digest := obs.ResultDigest(body)
-	root.SetAttr("audit_digest", digest)
-	s.appendAudit(fingerprint, name, params.Canonical(), sc.expr, digest, t.id())
+	rec.digest = obs.ResultDigest(body)
+	s.appendAudit(fingerprint, name, rec.params, sc.expr, rec.digest, rec.traceID())
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "application/json")
@@ -510,20 +491,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m := requestMetrics(r)
-	m.Analysis = "report"
-	t := requestTracer(r)
-	root := t.root()
-	root.SetAttr("analysis", "report")
-	if sc.expr != "" {
-		root.SetAttr("filter", sc.expr)
-	}
-	poolStart := time.Now()
-	ent, err := s.pool.get(sc, t.id())
-	buildEnd := time.Now()
-	m.EngineBuildNs = buildEnd.Sub(poolStart).Nanoseconds()
-	bsp := root.ChildAt("build", poolStart)
-	bsp.FinishAt(buildEnd)
+	rec := requestRecord(r)
+	rec.analysis, rec.filter = "report", sc.expr
+	start := time.Now()
+	ent, err := s.pool.get(sc, rec.traceID())
+	rec.add("build", start, time.Now())
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -534,7 +506,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ent.live.RLock()
 	fingerprint := ent.fingerprint
 	etag := etagFor(fingerprint, "report", sc.expr)
-	root.SetAttr("etag", etag)
+	rec.etag = etag
 	if notModified(r, etag) {
 		ent.live.RUnlock()
 		writeValidator(w, etag)
@@ -543,21 +515,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	// Render into a buffer so a mid-report analysis failure becomes a
 	// clean 500 instead of half a 200. Rendering is compute and
-	// serialize in one pass; it counts as compute, the dominant cost —
-	// the trace gets one "render" span rather than engine hooks, since
-	// WriteReport fans analyses out internally and per-request
-	// attribution of the shared memo fills would mislead.
-	computeStart := time.Now()
+	// serialize in one pass, recorded as one "render" stage rather than
+	// owned engine events, since WriteReport fans analyses out
+	// internally and per-request attribution of the shared memo fills
+	// would mislead.
+	start = time.Now()
 	var buf bytes.Buffer
 	renderErr := ent.eng.WriteReport(&buf)
-	computeEnd := time.Now()
-	m.ComputeNs = computeEnd.Sub(computeStart).Nanoseconds()
-	rsp := root.ChildAt("render", computeStart)
-	rsp.FinishAt(computeEnd)
+	rec.add("render", start, time.Now())
 	if renderErr != nil {
 		ent.live.RUnlock()
 		if ent.eng.IngestionFailed() {
-			s.pool.dropReason(ent, "ingestion_failed", t.id())
+			s.pool.dropReason(ent, "ingestion_failed", rec.traceID())
 		}
 		httpError(w, http.StatusInternalServerError, renderErr.Error())
 		return
@@ -566,9 +535,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// under the reserved name "report" (the registry rejects no such
 	// analysis name collision — names are lowercase identifiers and
 	// "report" is not registered).
-	digest := obs.ResultDigest(buf.Bytes())
-	root.SetAttr("audit_digest", digest)
-	s.appendAudit(fingerprint, "report", "", sc.expr, digest, t.id())
+	rec.digest = obs.ResultDigest(buf.Bytes())
+	s.appendAudit(fingerprint, "report", "", sc.expr, rec.digest, rec.traceID())
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -594,28 +562,19 @@ type appendResponse struct {
 // The append is synchronous: when the 200 returns, every resident
 // engine has folded the run in and every ETag has rolled.
 func (s *Server) handleAppendRun(w http.ResponseWriter, r *http.Request) {
-	m := requestMetrics(r)
-	m.Analysis = "append"
-	t := requestTracer(r)
-	root := t.root()
-	root.SetAttr("analysis", "append")
-	parseStart := time.Now()
+	rec := requestRecord(r)
+	rec.analysis = "append"
+	start := time.Now()
 	run, err := parser.Parse(http.MaxBytesReader(w, r.Body, maxRunBody))
-	parseEnd := time.Now()
-	psp := root.ChildAt("parse", parseStart)
-	psp.FinishAt(parseEnd)
+	rec.add("parse", start, time.Now())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parse result file: %v", err))
 		return
 	}
-	root.SetAttr("run_id", run.ID)
-	appendStart := time.Now()
-	gen := s.pool.absorb([]*model.Run{run}, true, t.id())
-	appendEnd := time.Now()
-	m.ComputeNs = appendEnd.Sub(appendStart).Nanoseconds()
-	asp := root.ChildAt("append", appendStart)
-	asp.SetAttr("generation", fmt.Sprint(gen))
-	asp.FinishAt(appendEnd)
+	rec.runID = run.ID
+	start = time.Now()
+	gen := s.pool.absorb([]*model.Run{run}, true, rec.traceID())
+	rec.add("append", start, time.Now(), trace.Attr{Key: "generation", Value: strconv.FormatUint(gen, 10)})
 	writeJSON(w, http.StatusOK, appendResponse{ID: run.ID, Generation: gen})
 }
 

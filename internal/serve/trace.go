@@ -1,164 +1,74 @@
 package serve
 
 import (
-	"context"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/obs/trace"
 )
 
-// tracerKey carries the request's tracer through the context, beside
-// the metrics record.
-type tracerKeyType struct{}
-
-var tracerKey tracerKeyType
-
-// requestTracer returns the request's tracer, nil when tracing is
-// disabled. A nil tracer is a valid receiver for every method below —
-// root() returns a nil span (itself a no-op receiver) and hooks()
-// returns nil — so handlers call through unconditionally.
-func requestTracer(r *http.Request) *tracer {
-	t, _ := r.Context().Value(tracerKey).(*tracer)
-	return t
-}
-
-// tracer owns one request's trace: the span tree plus the engine hook
-// adapters that turn core lifecycle callbacks and count-only kernel
-// events into timed child spans.
-type tracer struct {
-	tr *trace.Trace
-
-	// Kernel events buffer until the compute hook fires (the compute
-	// span they nest under is only created then, with its real start).
-	// Each event is timestamped on receipt here, in the serving layer —
-	// the kernels themselves never read the clock, which is what keeps
-	// registered analyses clean under specvet's determinism gate.
-	kmu  sync.Mutex
-	kevs []kernelEventRec
-}
-
-type kernelEventRec struct {
-	at    time.Time
-	name  string
-	attrs []trace.Attr
-}
-
-func newTracer(method, path, traceparent string, start time.Time) *tracer {
-	return &tracer{tr: trace.New(method+" "+path, traceparent, start)}
-}
-
-// root returns the root span (nil on a nil tracer).
-func (t *tracer) root() *trace.Span {
-	if t == nil {
-		return nil
-	}
-	return t.tr.Root()
-}
-
-// id returns the trace id ("" on a nil tracer), the value audit
-// records and slow-request log lines carry.
-func (t *tracer) id() string {
-	if t == nil {
-		return ""
-	}
-	return t.tr.TraceID()
-}
-
-// hooks returns the engine trace hooks for this request, nil when
-// untraced (a nil core.Request.Trace is the engine's "don't report"
-// value).
-func (t *tracer) hooks() *core.TraceHooks {
-	if t == nil {
-		return nil
-	}
-	return &core.TraceHooks{
-		Ingest:  t.ingest,
-		Compute: t.compute,
-		Kernel:  t.kernelEvent,
-	}
-}
-
-// ingest renders the engine's ingestion report as an "ingest" child of
-// the root, with one "ingest-source" sub-span per part of a merged
-// corpus. It fires only on the request that actually streamed the
-// corpus, so the span marks who paid, not who waited.
-func (t *tracer) ingest(it core.IngestTrace) {
-	sp := t.tr.Root().ChildAt("ingest", it.Start)
-	sp.SetAttr("source", it.Source)
-	sp.SetAttr("runs", strconv.Itoa(it.Runs))
-	if it.Err != nil {
-		sp.SetAttr("error", it.Err.Error())
-	}
-	for _, p := range it.Parts {
-		ps := sp.ChildAt("ingest-source", p.Start)
-		ps.SetAttr("source", p.Source)
-		ps.SetAttr("runs", strconv.Itoa(p.Runs))
-		ps.FinishAt(p.End)
-	}
-	sp.FinishAt(it.End)
-}
-
-// kernelEvent receives one count-only kernel progress event and stamps
-// it with the receipt time. The spans materialize later, in compute:
-// event i's span covers the gap since event i-1 (the first one since
-// compute start, so it also absorbs feature extraction ahead of the
-// kernel).
-func (t *tracer) kernelEvent(ev analysis.KernelEvent) {
-	rec := kernelEventRec{at: time.Now(), name: ev.Kernel + "-" + ev.Event}
+// kernelStage renders one count-only kernel event as a stage; the
+// receiver stamps its end and the compute stage later fills its start.
+func kernelStage(ev analysis.KernelEvent) stage {
+	st := stage{name: ev.Kernel + "-" + ev.Event}
 	switch ev.Kernel {
 	case "kmeans":
-		rec.attrs = []trace.Attr{
+		st.attrs = []trace.Attr{
 			{Key: "iteration", Value: strconv.Itoa(ev.Index)},
 			{Key: "moved", Value: strconv.Itoa(ev.Moved)},
 			{Key: "converged", Value: strconv.FormatBool(ev.Converged)},
 		}
 	case "hac":
-		rec.attrs = []trace.Attr{
+		st.attrs = []trace.Attr{
 			{Key: "batch", Value: strconv.Itoa(ev.Index)},
 			{Key: "merges", Value: strconv.Itoa(ev.Merges)},
 			{Key: "max_dist", Value: strconv.FormatFloat(ev.MaxDist, 'g', -1, 64)},
 		}
 	default:
-		rec.attrs = []trace.Attr{{Key: "index", Value: strconv.Itoa(ev.Index)}}
+		st.attrs = []trace.Attr{{Key: "index", Value: strconv.Itoa(ev.Index)}}
 	}
-	t.kmu.Lock()
-	t.kevs = append(t.kevs, rec)
-	t.kmu.Unlock()
+	return st
 }
 
-// compute renders one executed analysis as a "compute" child of the
-// root, draining the buffered kernel events into its sub-spans. Memo
-// hits never reach here, so a warm trace simply has no compute span.
-func (t *tracer) compute(ct core.ComputeTrace) {
-	sp := t.tr.Root().ChildAt("compute", ct.Start)
-	sp.SetAttr("analysis", ct.Name)
-	if ct.Params != "" {
-		sp.SetAttr("params", ct.Params)
+// span renders the stage, and its children, as a child of parent.
+func (st *stage) span(parent *trace.Span) {
+	sp := parent.ChildAt(st.name, st.start)
+	for _, a := range st.attrs {
+		sp.SetAttr(a.Key, a.Value)
 	}
-	if ct.Err != nil {
-		sp.SetAttr("error", ct.Err.Error())
+	for i := range st.children {
+		st.children[i].span(sp)
 	}
-	t.kmu.Lock()
-	evs := t.kevs
-	t.kevs = nil
-	t.kmu.Unlock()
-	prev := ct.Start
-	for _, ev := range evs {
-		k := sp.ChildAt(ev.name, prev)
-		for _, a := range ev.attrs {
-			k.SetAttr(a.Key, a.Value)
+	sp.FinishAt(st.end)
+}
+
+// publishTrace renders a finished traced record as its span tree — one
+// root child per stage, the root attributes, the status — ends the
+// root at end, and publishes the trace to the ring.
+func (s *Server) publishTrace(rec *record, end time.Time) {
+	root := rec.tr.Root()
+	for i := range rec.stages {
+		rec.stages[i].span(root)
+	}
+	for _, a := range [...]trace.Attr{
+		{Key: "analysis", Value: rec.analysis},
+		{Key: "params", Value: rec.params},
+		{Key: "filter", Value: rec.filter},
+		{Key: "etag", Value: rec.etag},
+		{Key: "run_id", Value: rec.runID},
+		{Key: "audit_digest", Value: rec.digest},
+	} {
+		if a.Value != "" {
+			root.SetAttr(a.Key, a.Value)
 		}
-		k.FinishAt(ev.at)
-		prev = ev.at
 	}
-	sp.FinishAt(ct.End)
+	root.SetAttr("status", strconv.Itoa(rec.status))
+	root.FinishAt(end)
+	s.traces.Add(rec.tr)
 }
 
 // tracesResponse is the GET /v1/traces body.
@@ -240,34 +150,4 @@ func mountPprof(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/pprof/profile", loopbackOnly(pprof.Profile))
 	mux.HandleFunc("GET /debug/pprof/symbol", loopbackOnly(pprof.Symbol))
 	mux.HandleFunc("GET /debug/pprof/trace", loopbackOnly(pprof.Trace))
-}
-
-// withTrace plants the tracer in the request context (when tracing is
-// enabled) and, after the handler chain returns, finishes the root
-// span, publishes the completed trace to the ring, and emits the slow-
-// request log line when the request crossed the configured threshold.
-// It runs inside withMetrics so the trace covers exactly what the
-// metrics total covers.
-func (s *Server) withTrace(r *http.Request, start time.Time) (*http.Request, *tracer) {
-	if s.traces == nil {
-		return r, nil
-	}
-	t := newTracer(r.Method, r.URL.Path, r.Header.Get("Traceparent"), start)
-	return r.WithContext(context.WithValue(r.Context(), tracerKey, t)), t
-}
-
-// finishTrace completes and publishes t (no-op on nil).
-func (s *Server) finishTrace(t *tracer, r *http.Request, status int, d time.Duration) {
-	if t == nil {
-		return
-	}
-	root := t.tr.Root()
-	root.SetAttr("status", strconv.Itoa(status))
-	root.Finish()
-	s.traces.Add(t.tr)
-	if s.cfg.SlowTrace > 0 && d >= s.cfg.SlowTrace && s.cfg.Logf != nil {
-		s.cfg.Logf("slow request: %s %s %d %s trace=%s",
-			r.Method, r.URL.RequestURI(), status,
-			d.Round(time.Microsecond), t.tr.TraceID())
-	}
 }

@@ -331,22 +331,7 @@ func TestTraceAttributesSharedWork(t *testing.T) {
 	}
 	// Hold the build until both requests have reached the entry, so they
 	// race for the ingestion and the computation behind it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var ent *poolEntry
-		s.pool.mu.Lock()
-		if el, ok := s.pool.byScope[""]; ok {
-			ent = el.Value.(*poolEntry)
-		}
-		s.pool.mu.Unlock()
-		if ent != nil && ent.arrivals.Load() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("requests never both arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitCohort(t, s, 2)
 	close(release)
 	wg.Wait()
 
