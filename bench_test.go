@@ -578,11 +578,12 @@ func BenchmarkCachedIngest(b *testing.B) {
 // BenchmarkServeAnalysis (D10): one analysis request through the HTTP
 // serving stack. cold-scope pays for everything — engine build, corpus
 // ingestion, the analysis itself — on a fresh server each iteration;
-// warm-scope hits a resident scope engine, so the request is a memo
-// read plus JSON encoding (≥10× faster than cold); warm-etag-304
-// revalidates with If-None-Match and transfers nothing at all.
-// warm-scope runs with tracing explicitly off so the traced variant
-// below measures the overhead against a clean baseline.
+// warm-scope hits a resident scope engine, so the request writes the
+// body encoded (and digested) once per memoized value; warm-etag-304
+// revalidates with If-None-Match and transfers nothing at all;
+// warm-report re-reads the full text report, rendered once per corpus
+// state. warm-scope runs with tracing explicitly off so the traced
+// variant below measures the overhead against a clean baseline.
 func BenchmarkServeAnalysis(b *testing.B) {
 	newServer := func() *serve.Server {
 		return serve.New(serve.Config{
@@ -590,15 +591,19 @@ func BenchmarkServeAnalysis(b *testing.B) {
 			TraceBufferSize: -1,
 		})
 	}
-	request := func(b *testing.B, srv *serve.Server, etag string) *httptest.ResponseRecorder {
+	requestPath := func(b *testing.B, srv *serve.Server, path, etag string) *httptest.ResponseRecorder {
 		b.Helper()
-		req := httptest.NewRequest(http.MethodGet, "/v1/analyses/fig3", nil)
+		req := httptest.NewRequest(http.MethodGet, path, nil)
 		if etag != "" {
 			req.Header.Set("If-None-Match", etag)
 		}
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		return rec
+	}
+	request := func(b *testing.B, srv *serve.Server, etag string) *httptest.ResponseRecorder {
+		b.Helper()
+		return requestPath(b, srv, "/v1/analyses/fig3", etag)
 	}
 	b.Run("cold-scope", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -629,6 +634,18 @@ func BenchmarkServeAnalysis(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if rec := request(b, srv, etag); rec.Code != http.StatusNotModified {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	})
+	b.Run("warm-report", func(b *testing.B) {
+		srv := newServer()
+		if rec := requestPath(b, srv, "/v1/report", ""); rec.Code != http.StatusOK {
+			b.Fatalf("priming status %d", rec.Code)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rec := requestPath(b, srv, "/v1/report", ""); rec.Code != http.StatusOK {
 				b.Fatalf("status %d", rec.Code)
 			}
 		}

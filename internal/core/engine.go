@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,6 +45,7 @@ type Engine struct {
 	mu         sync.Mutex
 	memos      map[memoKey]*memo
 	paramOrder []memoKey // non-default keys in insertion order, for eviction
+	report     *memo     // the rendered text report; nil until asked, dropped by any append
 
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
@@ -69,11 +71,19 @@ type memoKey struct {
 // mid-flight readers is harmless — they keep their own result).
 const paramMemoLimit = 512
 
-// memo is one lazily computed analysis result.
+// memo is one lazily computed analysis result plus, once a caller
+// asks for it through AnalysisRendered, the rendered form of that
+// result. Both live and die together: the rendering shares the
+// entry's paramMemoLimit slot, its eviction order and its
+// stage-aware invalidation, so no second cache needs keeping in step.
 type memo struct {
 	once sync.Once
 	val  any
 	err  error
+
+	renderOnce sync.Once
+	out        any
+	outErr     error
 }
 
 // Option configures an Engine.
@@ -299,6 +309,57 @@ func (e *Engine) Analysis(name string) (any, error) {
 // two independent cache entries, while two spellings of the same
 // parameterization — including defaults spelled out — share one.
 func (e *Engine) AnalysisRequest(req Request) (any, error) {
+	m, err := e.analysisMemo(req)
+	if err != nil {
+		return nil, err
+	}
+	return m.val, m.err
+}
+
+// AnalysisRendered is AnalysisRequest followed by render over the
+// result, with render's output memoized on the same entry: render runs
+// at most once per computed value — never over a compute error — and
+// every later call returns the stored output (or render's error). The
+// output is keyed only by the engine and the memo key, so render must
+// derive it from the value and from what that key identifies, nothing
+// else of the caller's request. A memo that an Append keeps warm keeps
+// its rendering; one that is invalidated or evicted loses both.
+func (e *Engine) AnalysisRendered(req Request, render func(any) (any, error)) (any, error) {
+	m, err := e.analysisMemo(req)
+	if err != nil {
+		return nil, err
+	}
+	if m.err != nil {
+		return nil, m.err
+	}
+	m.renderOnce.Do(func() { m.out, m.outErr = render(m.val) })
+	return m.out, m.outErr
+}
+
+// ReportRendered renders the full text report (WriteReport) once per
+// corpus state and hands its bytes to render, memoizing render's
+// output on the engine: later calls return it without re-rendering
+// until an Append, which changes every report, drops it. Errors are
+// memoized like analysis errors.
+func (e *Engine) ReportRendered(render func(report []byte) (any, error)) (any, error) {
+	e.mu.Lock()
+	if e.report == nil {
+		e.report = &memo{}
+	}
+	m := e.report
+	e.mu.Unlock()
+	m.once.Do(func() {
+		var buf bytes.Buffer
+		if m.err = e.WriteReport(&buf); m.err == nil {
+			m.val, m.err = render(buf.Bytes())
+		}
+	})
+	return m.val, m.err
+}
+
+// analysisMemo finds or inserts req's memo entry, counts the hit or
+// miss, and computes the entry's value on first use.
+func (e *Engine) analysisMemo(req Request) (*memo, error) {
 	reg, ok := analysis.Lookup(req.Name)
 	if !ok {
 		return nil, &UnknownAnalysisError{Name: req.Name, Available: analysis.SortedNames()}
@@ -353,7 +414,7 @@ func (e *Engine) AnalysisRequest(req Request) (any, error) {
 		ev.End, ev.Err = time.Now(), m.err
 		e.emit(ev)
 	})
-	return m.val, m.err
+	return m, nil
 }
 
 // MemoStats is a point-in-time snapshot of one engine's analysis memo
@@ -460,6 +521,7 @@ func (e *Engine) Append(runs []*model.Run) (AppendStats, error) {
 func (e *Engine) invalidate(parsed, comparable bool) (dropped, kept int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.report = nil // the report's funnel section counts raw runs
 	for key := range e.memos {
 		if !appendAffects(inputOf(key.name), parsed, comparable) {
 			kept++

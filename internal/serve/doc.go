@@ -82,6 +82,19 @@
 // text exposition (cumulative histograms and counters, plus a
 // specserve_runtime_* section sampled at scrape time).
 //
+// A 200 body is rendered once per memoized value: the encoded
+// analysis response and its digest are stored on the engine's memo
+// entry beside the value, and the rendered report on an engine entry
+// of its own, so they share the memo's bound and its append
+// invalidation. The serialize stage therefore measures two
+// different things. On the request that renders, it times the JSON
+// encode and the digest, not the compute that request may have waited
+// on. On a request served from stored bytes it is a zero-length stage
+// with cached=true, and it adds nothing to the serialize histogram,
+// which thus counts actual renders. The report's "render" stage
+// follows the same rule, except that on the rendering request it also
+// covers the analyses the report computes.
+//
 // # Event log and pool introspection
 //
 // Config.Events (an obs/evlog.Logger) adds a structured event stream

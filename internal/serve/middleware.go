@@ -72,6 +72,20 @@ func (r *record) add(name string, start, end time.Time, attrs ...trace.Attr) {
 	r.stages = append(r.stages, stage{name: name, start: start, end: end, attrs: attrs})
 }
 
+// addRendered records the request's serialize-side stage: the render
+// window when this request rendered (start, end set by its render
+// func), otherwise a zero-length stage marked cached=true, stamped when
+// the stored bytes were in hand.
+func (r *record) addRendered(name string, start, end time.Time, sb *storedBody) {
+	n := trace.Attr{Key: "bytes", Value: strconv.Itoa(len(sb.body))}
+	if start.IsZero() {
+		now := time.Now()
+		r.add(name, now, now, n, trace.Attr{Key: "cached", Value: "true"})
+		return
+	}
+	r.add(name, start, end, n)
+}
+
 // dur returns the named stage's duration in nanoseconds, 0 when the
 // request never entered it.
 func (r *record) dur(name string) int64 {

@@ -183,9 +183,11 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(w).Encode(errorBody{Error: msg})
 }
 
-// encodeJSON renders v as the exact indented bytes a 200 would serve —
-// handlers that audit or digest the response encode once and reuse the
-// bytes for both the wire and the provenance record.
+// encodeJSON renders v as the exact indented bytes a 200 would serve.
+// Analysis responses are encoded once per memoized value, not once per
+// request: handleAnalysis stores the bytes and their digest on the
+// engine's memo entry (storedBody) and serves every later hit from
+// there.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -345,6 +347,19 @@ type analysisResponse struct {
 	Value       any    `json:"value"`
 }
 
+// storedBody is a rendered 200 body, held by the engine next to the
+// value it encodes (AnalysisRendered, ReportRendered), with the digest
+// the audit record and the trace carry, so a hit neither re-encodes nor
+// re-hashes.
+type storedBody struct {
+	body   []byte
+	digest string
+}
+
+func newStoredBody(body []byte) *storedBody {
+	return &storedBody{body: body, digest: obs.ResultDigest(body)}
+}
+
 // rawParams collects every query key except the reserved "filter" as a
 // raw parameter assignment for the schema to resolve (first value wins,
 // matching url.Values.Get).
@@ -416,7 +431,28 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	v, err := ent.eng.AnalysisRequest(core.Request{Name: name, Params: params, Owner: rec})
+	// The render func runs once per memo entry, on whichever request
+	// first asks after the compute. Every envelope field comes from the
+	// memo key (name, canonical params) or the engine's scope (filter),
+	// so the stored bytes are right for every request that hits them.
+	var renderStart, renderEnd time.Time
+	out, err := ent.eng.AnalysisRendered(core.Request{Name: name, Params: params, Owner: rec},
+		func(v any) (any, error) {
+			renderStart = time.Now()
+			body, err := encodeJSON(analysisResponse{
+				Name:        name,
+				Description: reg.Description,
+				Filter:      sc.expr,
+				Params:      rec.params,
+				Value:       v,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("encode response: %w", err)
+			}
+			sb := newStoredBody(body)
+			renderEnd = time.Now()
+			return sb, nil
+		})
 	if err != nil {
 		ent.live.RUnlock()
 		// A broken corpus poisons every analysis of the scope: drop the
@@ -437,34 +473,22 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	start = time.Now()
-	body, err := encodeJSON(analysisResponse{
-		Name:        name,
-		Description: reg.Description,
-		Filter:      sc.expr,
-		Params:      rec.params,
-		Value:       v,
-	})
-	rec.add(obs.StageSerialize, start, time.Now(), trace.Attr{Key: "bytes", Value: strconv.Itoa(len(body))})
-	if err != nil {
-		ent.live.RUnlock()
-		httpError(w, http.StatusInternalServerError, fmt.Sprintf("encode response: %v", err))
-		return
-	}
+	sb := out.(*storedBody)
+	rec.addRendered(obs.StageSerialize, renderStart, renderEnd, sb)
 	// The validator is attached only now, to a response that represents
 	// the resource — an error above must not hand out an ETag that
 	// would later revalidate to a misleading 304. The audit record
-	// digests the exact bytes about to be served, under the same
-	// fingerprint + canonical params identity the ETag derives from,
-	// and both the record and the trace carry the digest so a span can
-	// be matched to its audit row (and vice versa).
-	rec.digest = obs.ResultDigest(body)
+	// carries the digest of the exact bytes about to be served, under
+	// the same fingerprint + canonical params identity the ETag derives
+	// from, and both the record and the trace carry the digest so a
+	// span can be matched to its audit row (and vice versa).
+	rec.digest = sb.digest
 	s.appendAudit(fingerprint, name, rec.params, sc.expr, rec.digest, rec.traceID())
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_, _ = w.Write(sb.body)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -513,35 +537,41 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// Render into a buffer so a mid-report analysis failure becomes a
-	// clean 500 instead of half a 200. Rendering is compute and
-	// serialize in one pass, recorded as one "render" stage rather than
-	// owned engine events, since WriteReport fans analyses out
-	// internally and per-request attribution of the shared memo fills
-	// would mislead.
+	// The engine renders the report into a buffer once per corpus
+	// state, so a mid-report analysis failure becomes a clean 500
+	// instead of half a 200, and keeps the bytes until an append. The
+	// request that renders records one "render" stage covering compute
+	// and serialize in one pass, rather than owned engine events, since
+	// WriteReport fans analyses out internally and per-request
+	// attribution of the shared memo fills would mislead.
 	start = time.Now()
-	var buf bytes.Buffer
-	renderErr := ent.eng.WriteReport(&buf)
-	rec.add("render", start, time.Now())
-	if renderErr != nil {
+	var renderStart time.Time // stays zero unless this request renders
+	out, err := ent.eng.ReportRendered(func(report []byte) (any, error) {
+		renderStart = start
+		return newStoredBody(report), nil
+	})
+	if err != nil {
+		rec.add("render", start, time.Now())
 		ent.live.RUnlock()
 		if ent.eng.IngestionFailed() {
 			s.pool.dropReason(ent, "ingestion_failed", rec.traceID())
 		}
-		httpError(w, http.StatusInternalServerError, renderErr.Error())
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	sb := out.(*storedBody)
+	rec.addRendered("render", renderStart, time.Now(), sb)
 	// The report is attributable output like any analysis: audit it
 	// under the reserved name "report" (the registry rejects no such
 	// analysis name collision — names are lowercase identifiers and
 	// "report" is not registered).
-	rec.digest = obs.ResultDigest(buf.Bytes())
+	rec.digest = sb.digest
 	s.appendAudit(fingerprint, "report", "", sc.expr, rec.digest, rec.traceID())
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(sb.body)
 }
 
 // maxRunBody bounds a POST /v1/runs body. Real result files are tens
