@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -180,6 +182,19 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestWriteReportBytes pins the full text report of the default
+// synthetic corpus: every section, its order and its formatting.
+func TestWriteReportBytes(t *testing.T) {
+	h := sha256.New()
+	if err := New().WriteReport(h); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5ab256e7bda977f4d4b32dfb1adebc724faa3ba5c422067d93012a4a376abee3"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("report sha256 = %s, want %s", got, want)
 	}
 }
 
