@@ -490,6 +490,24 @@ func BenchmarkEngineRunFullReport(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteReport times the full text report's render pass alone:
+// the engine is warmed by one report first, so every section is a memo
+// read and the loop measures the section walk plus each analysis's
+// registered Text renderer.
+func BenchmarkWriteReport(b *testing.B) {
+	eng := core.New(core.WithSource(core.SliceSource(dataset(b).Raw)))
+	if err := eng.WriteReport(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.WriteReport(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // The scheduling probes are eight equal-cost analyses (a quadratic
 // Sen-slope scan each), registered once per process: with equal costs,
 // a sequential schedule pays sum(analysis) while the parallel one pays

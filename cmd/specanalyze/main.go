@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cliutil"
+	_ "repro/internal/cluster" // registers the clustering analyses
 	"repro/internal/core"
 )
 

@@ -54,29 +54,13 @@ func main() {
 		fmt.Println("wrote", path)
 	}
 
-	vendorClass := func(v string) int {
-		switch v {
-		case "AMD":
-			return 0
-		case "Intel":
-			return 1
-		default:
-			return 2
-		}
-	}
-	classes := []string{"AMD", "Intel", "Other"}
-
 	scatterSVG := func(fig analysis.TrendFigure, yLabel string, ax plot.Axes) string {
-		pts := make([]plot.Pt, len(fig.Points))
-		for i, p := range fig.Points {
-			pts[i] = plot.Pt{X: p.Frac, Y: p.Value, Class: vendorClass(p.Vendor)}
-		}
 		ax.Title = fig.Name
 		ax.XLabel = "Hardware Availability Date"
 		ax.YLabel = yLabel
 		ax.Width, ax.Height = 90, 40
-		ax.ClassNames = classes
-		return plot.SVGScatter(pts, ax)
+		ax.ClassNames = analysis.VendorClasses
+		return plot.SVGScatter(fig.Points.PlotPoints(), ax)
 	}
 
 	// Figure 1: run counts per year as bars (one SVG).

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
@@ -63,6 +64,15 @@ func Reads(in Input) RegOption {
 	return func(r *Registration) { r.Input = in }
 }
 
+// Text sets the terminal rendering of the analysis's results: fn
+// receives the value the registered func returned, asserted to its
+// concrete type. An analysis without one renders as indented JSON.
+func Text[T any](fn func(w io.Writer, v T)) RegOption {
+	return func(r *Registration) {
+		r.Text = func(w io.Writer, v any) { fn(w, v.(T)) }
+	}
+}
+
 // Registration describes one entry of the analysis registry.
 type Registration struct {
 	Name        string
@@ -83,6 +93,11 @@ type Registration struct {
 	// Reads and consumed by the engine's delta-aware memo invalidation.
 	// Static registrations are always InputNone.
 	Input Input
+
+	// Text renders one result as terminal text, set with the Text
+	// option (nil = indented JSON). The full report and single-analysis
+	// text output both print through it.
+	Text func(w io.Writer, v any)
 
 	// defaults is the schema's all-default bag, resolved once at
 	// registration so by-name requests on hot serving paths don't
@@ -133,13 +148,13 @@ func RegisterParams(name, description string, schema Schema, fn Func, opts ...Re
 // RegisterStatic adds a named analysis that does not depend on the
 // corpus (like the catalog-driven table1): engines compute it without
 // ingesting their source at all.
-func RegisterStatic(name, description string, fn func() (any, error)) {
+func RegisterStatic(name, description string, fn func() (any, error), opts ...RegOption) {
 	register(Registration{
 		Name:        name,
 		Description: description,
 		Func:        func(*Dataset, Params) (any, error) { return fn() },
 		Static:      true,
-	})
+	}, opts...)
 }
 
 func register(reg Registration, opts ...RegOption) {
@@ -196,50 +211,50 @@ func SortedNames() []string {
 func init() {
 	Register("funnel", "Section II filter funnel (1017 → 960 → 676)",
 		func(ds *Dataset) (any, error) { return ds.Funnel, nil },
-		Reads(InputRaw))
+		Reads(InputRaw), Text(funnelText))
 	Register("fig1", "Figure 1: corpus composition by year (OS, vendor, sockets, nodes)",
 		func(ds *Dataset) (any, error) { return Fig1Shares(ds.Parsed), nil },
-		Reads(InputParsed))
+		Reads(InputParsed), Text(fig1Text))
 	Register("fig2", "Figure 2: power per socket at full load (W)",
 		func(ds *Dataset) (any, error) { return Fig2PowerPerSocket(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(trendText("W/socket")))
 	Register("fig3", "Figure 3: overall efficiency (ssj_ops/W)",
 		func(ds *Dataset) (any, error) { return Fig3OverallEfficiency(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(trendText("ssj_ops/W")))
 	Register("fig4", "Figure 4: relative efficiency at 60-90% load by vendor and year",
 		func(ds *Dataset) (any, error) { return Fig4RelativeEfficiency(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(fig4Text))
 	Register("fig5", "Figure 5: idle power / full load power",
 		func(ds *Dataset) (any, error) { return Fig5IdleFraction(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(trendText("idle/full")))
 	Register("fig6", "Figure 6: extrapolated idle quotient",
 		func(ds *Dataset) (any, error) { return Fig6IdleQuotient(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(trendText("extrapolated/measured")))
 	Register("submissions", "S2: submission rates and OS/vendor share shifts",
 		func(ds *Dataset) (any, error) { return SubmissionTrends(ds.Parsed), nil },
-		Reads(InputParsed))
+		Reads(InputParsed), Text(submissionsText))
 	Register("growth", "S3: full-load power growth, early vs late era",
 		func(ds *Dataset) (any, error) { return PowerGrowth(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(growthText))
 	Register("top100", "S4: vendor composition of the 100 most efficient runs",
 		func(ds *Dataset) (any, error) { return TopEfficient(ds.Comparable, 100), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(top100Text))
 	Register("idlehistory", "S5: idle-fraction history (first / minimum / last year)",
 		func(ds *Dataset) (any, error) { return IdleFractionHistory(ds.Comparable, 5), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(idleHistoryText))
 	Register("features", "S6: per-vendor feature comparison since 2021",
 		func(ds *Dataset) (any, error) { return RecentFeatures(ds.Comparable, 2021), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(featuresText))
 	Register("trends", "Mann-Kendall + Theil-Sen trend tests behind the conclusions",
 		func(ds *Dataset) (any, error) { return PaperTrends(ds.Comparable, 0.10, ds.Workers) },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(trendsText))
 	Register("ep", "energy proportionality score by year",
 		func(ds *Dataset) (any, error) { return EPByYear(ds.Comparable), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(epText))
 	Register("confound", "pooled vs within-vendor correlations since 2021",
 		func(ds *Dataset) (any, error) { return ConfoundingScan(ds.Comparable, 2021), nil },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(confoundText))
 	Register("changepoint", "Pettitt changepoint of the idle-fraction history",
 		func(ds *Dataset) (any, error) { return IdleFractionChangepoint(ds.Comparable, 5, 0.05) },
-		Reads(InputComparable))
+		Reads(InputComparable), Text(changepointText))
 }

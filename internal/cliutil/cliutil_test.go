@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	_ "repro/internal/cluster" // the parameterized analyses the tests select
 	"repro/internal/core"
 	"repro/internal/synth"
 )

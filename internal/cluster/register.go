@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -65,6 +66,18 @@ func newResult(algo string, m *Matrix, labels []int, k int, silhouette float64) 
 	}
 	res.SSE = SSE(m, labels, Centroids(m, labels, k))
 	return res
+}
+
+// writeResult renders a "clusters" result as terminal text.
+func writeResult(w io.Writer, res Result) {
+	fmt.Fprintf(w, "%s over [%s]\n", res.Algo, strings.Join(res.Features, ", "))
+	fmt.Fprintf(w, "k=%d  silhouette=%.3f  within-SSE=%.1f\n", res.K, res.Silhouette, res.SSE)
+	for c, size := range res.Sizes {
+		fmt.Fprintf(w, "  cluster %d: %4d runs\n", c, size)
+	}
+	if res.K == 0 {
+		fmt.Fprintln(w, "(corpus too small to cluster)")
+	}
 }
 
 // Validation hooks shared by the schema declarations.
@@ -518,7 +531,7 @@ func init() {
 					Sizes: []int{}, Assignments: []Assignment{}}, nil
 			}
 			return newResult(part.algo, part.m, part.labels, part.k, part.sil), nil
-		}, analysis.Reads(analysis.InputComparable))
+		}, analysis.Reads(analysis.InputComparable), analysis.Text(writeResult))
 	analysis.RegisterParams("cluster-profiles",
 		"per-cluster phenotypes: dominant vendor, median cores/score, year range",
 		partitionSchema(),
@@ -536,7 +549,8 @@ func init() {
 				Silhouette: part.sil,
 				Profiles:   Profiles(part.m.Runs, part.labels, part.k),
 			}, nil
-		}, analysis.Reads(analysis.InputComparable))
+		}, analysis.Reads(analysis.InputComparable),
+		analysis.Text(func(w io.Writer, ps ProfileSet) { fmt.Fprint(w, ps.String()) }))
 	analysis.RegisterParams("cluster-sweep",
 		"k sweep: within-cluster SSE and silhouette for k = 2…10 (elbow curve)",
 		sweepSchema(),
@@ -553,5 +567,6 @@ func init() {
 				return []SweepPoint{}, nil
 			}
 			return sweepFor(ds, m, kmin, kmax, p.Int64("seed"), ds.Workers)
-		}, analysis.Reads(analysis.InputComparable))
+		}, analysis.Reads(analysis.InputComparable),
+		analysis.Text(func(w io.Writer, pts []SweepPoint) { fmt.Fprint(w, SweepTable(pts)) }))
 }

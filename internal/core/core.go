@@ -28,6 +28,14 @@
 // bound, so a full report costs max(analysis) rather than
 // sum(analysis).
 //
+// Core knows no analysis's result type. Each registration carries its
+// own text renderer (analysis.Text); WriteAnalysisText prints one
+// result through it (indented JSON when there is none), and
+// WriteReport walks one table of report sections, rendering each
+// named analysis the same way. The clustering analyses register in
+// repro/internal/cluster, which a program rendering the report must
+// import.
+//
 // Analyses that declare typed parameters (analysis.Schema) are selected
 // with per-request values through core.Request, each distinct
 // parameterization memoized independently:

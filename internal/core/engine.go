@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/analysis"
 	"repro/internal/model"
@@ -683,6 +684,106 @@ func (e *Engine) WriteJSONRequests(w io.Writer, reqs ...Request) error {
 	return nil
 }
 
+// reportSections is the full text report, in order: each section's
+// title and the analyses printed under it, with default parameters,
+// through their registered Text renderers. It is the only list of what
+// the report shows; WriteReport warms every name in it before the
+// first byte is written.
+var reportSections = []struct {
+	title string
+	names []string
+}{
+	{"Filter funnel (Section II)", []string{"funnel"}},
+	{"Submission trends (S2)", []string{"submissions"}},
+	{"Figure 1: corpus composition by year", []string{"fig1"}},
+	{"Figure 2: power per socket at full load", []string{"fig2", "growth"}},
+	{"Figure 3: overall efficiency", []string{"fig3", "top100"}},
+	{"Figure 4: relative efficiency at 60–90 % load", []string{"fig4"}},
+	{"Figure 5: idle power fraction", []string{"fig5", "idlehistory", "changepoint"}},
+	{"Figure 6: extrapolated idle quotient", []string{"fig6"}},
+	{"S6: feature comparison since 2021", []string{"features"}},
+	{"Trend tests (Mann-Kendall + Theil–Sen, α = 0.10)", []string{"trends"}},
+	{"Energy proportionality score by year", []string{"ep"}},
+	{"Correlation exploration since 2021 (vendor confounding)", []string{"confound"}},
+	{"Configuration clusters (phenotypes)", []string{"cluster-profiles"}},
+	{"Table I: SR650 V3 (Intel) vs SR645 V3 (AMD)", []string{"table1"}},
+}
+
+// reportBestEffort names the report analyses whose error drops their
+// text instead of failing the report: the changepoint needs enough
+// yearly bins, which a small corpus slice may not have.
+var reportBestEffort = map[string]bool{"changepoint": true}
+
+// WriteReport prints the full study — funnel, all six figures, Table I
+// and the in-text statistics — as a terminal report, one reportSections
+// entry after another. Every section is pulled through the engine's
+// memoized analysis cache, which WriteReport first populates
+// concurrently across the worker pool: the sequential render pass then
+// only reads cached results, so a full report costs max(analysis)
+// wall-clock, and a report after targeted Run calls only computes what
+// is still missing. Every analysis the report names must be registered,
+// the clustering ones included (import repro/internal/cluster).
+func (e *Engine) WriteReport(w io.Writer) error {
+	// Surface source errors before any section is printed.
+	if _, err := e.Dataset(); err != nil {
+		return err
+	}
+	var warm []Request
+	for _, sec := range reportSections {
+		for _, name := range sec.names {
+			warm = append(warm, Request{Name: name})
+		}
+	}
+	if err := e.compute(warm, reportBestEffort); err != nil {
+		return err
+	}
+	for _, sec := range reportSections {
+		fmt.Fprintf(w, "\n%s\n%s\n", sec.title, strings.Repeat("=", len(sec.title)))
+		for _, name := range sec.names {
+			v, err := e.Analysis(name)
+			if err != nil {
+				if reportBestEffort[name] {
+					continue
+				}
+				return err
+			}
+			if err := writeText(w, name, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// WriteAnalysisText renders one named analysis result as terminal text:
+// a title line, then the same body the full report prints for it.
+func WriteAnalysisText(w io.Writer, res Result) error {
+	title := res.Name
+	if res.Params != "" {
+		title += "?" + res.Params
+	}
+	fmt.Fprintf(w, "\n%s — %s\n%s\n", title, res.Description,
+		strings.Repeat("=", utf8.RuneCountInString(title)+3+
+			utf8.RuneCountInString(res.Description)))
+	return writeText(w, res.Name, res.Value)
+}
+
+// writeText renders one result through its registration's Text, or as
+// indented JSON when the analysis registers none, so externally
+// registered analyses print usefully too.
+func writeText(w io.Writer, name string, v any) error {
+	if reg, ok := analysis.Lookup(name); ok && reg.Text != nil {
+		reg.Text(w, v)
+		return nil
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return fmt.Errorf("core: render %s: %w", name, err)
+	}
+	return nil
+}
+
 // table1 is registered here rather than in the analysis package: it
 // compares two catalog systems under SPEC CPU 2017 and SPEC Power
 // models and does not depend on the corpus, so it lives with the layer
@@ -697,5 +798,5 @@ func init() {
 				return nil, err
 			}
 			return speccpu.Table1(intelSys, amdSys)
-		})
+		}, analysis.Text(speccpu.WriteTable1))
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	_ "repro/internal/cluster" // the clustering analyses the report renders
 	"repro/internal/model"
 	"repro/internal/synth"
 )
@@ -56,9 +57,11 @@ func countStage(rcs []analysis.ReasonCount) int {
 	return n
 }
 
-func TestEngineRunAllNames(t *testing.T) {
-	// The trend and changepoint analyses need several yearly bins, so
-	// this test uses a corpus spanning more years than smallOptions.
+// multiYearEngine builds an engine over a small corpus spanning enough
+// yearly bins for the trend and changepoint analyses, which
+// smallOptions does not.
+func multiYearEngine(t *testing.T) *Engine {
+	t.Helper()
 	opt := smallOptions()
 	opt.Plan = []synth.YearPlan{
 		{Year: 2008, Parsed: 10, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},
@@ -72,8 +75,11 @@ func TestEngineRunAllNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(WithSource(SliceSource(runs)))
-	results, err := eng.Run()
+	return New(WithSource(SliceSource(runs)))
+}
+
+func TestEngineRunAllNames(t *testing.T) {
+	results, err := multiYearEngine(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,24 +449,26 @@ func TestEngineWorkerBoundThreadsToDataset(t *testing.T) {
 	}
 }
 
-// TestReportAnalysesRegistered pins the warm-up list to the registry:
-// every name WriteReport pre-computes must exist, and every registered
-// corpus analysis the report renders must be pre-computed (a missing
-// entry silently degrades the parallel warm-up to sequential renders).
-func TestReportAnalysesRegistered(t *testing.T) {
-	warm := map[string]bool{}
-	for _, name := range reportAnalyses {
-		if _, ok := analysis.Lookup(name); !ok {
-			t.Errorf("reportAnalyses lists %q, which is not registered", name)
+// TestReportSectionsRegistered checks the report's one section table
+// against the registry: every name it lists is registered, once, and
+// renders through its own Text rather than the JSON fallback.
+func TestReportSectionsRegistered(t *testing.T) {
+	seen := map[string]bool{}
+	for _, sec := range reportSections {
+		if len(sec.names) == 0 {
+			t.Errorf("section %q lists no analyses", sec.title)
 		}
-		warm[name] = true
-	}
-	for _, name := range []string{"funnel", "submissions", "fig1", "fig2",
-		"growth", "fig3", "top100", "fig4", "fig5", "idlehistory",
-		"changepoint", "fig6", "features", "trends", "ep", "confound",
-		"cluster-profiles", "table1"} {
-		if !warm[name] {
-			t.Errorf("report section %q missing from the warm-up list", name)
+		for _, name := range sec.names {
+			reg, ok := analysis.Lookup(name)
+			if !ok {
+				t.Errorf("section %q lists %q, which is not registered", sec.title, name)
+			} else if reg.Text == nil {
+				t.Errorf("section %q lists %q, which has no Text renderer", sec.title, name)
+			}
+			if seen[name] {
+				t.Errorf("%q appears in more than one report section", name)
+			}
+			seen[name] = true
 		}
 	}
 }
@@ -570,25 +578,54 @@ func TestRunDescriptionsMatchRegistry(t *testing.T) {
 	}
 }
 
+// TestEngineWriteAnalysisText: each registered analysis prints through
+// its own Text renderer — a title line, then exactly the renderer's
+// body — never through the indented-JSON fallback. The probes other
+// tests in this package register are skipped.
 func TestEngineWriteAnalysisText(t *testing.T) {
-	eng := smallEngine(t)
-	results, err := eng.Run("funnel", "fig3", "growth", "table1")
+	results, err := multiYearEngine(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var all bytes.Buffer
 	for _, res := range results {
-		if err := WriteAnalysisText(&buf, res); err != nil {
+		if strings.HasPrefix(res.Name, "test_") {
+			continue
+		}
+		reg, _ := analysis.Lookup(res.Name)
+		if reg.Text == nil {
+			t.Errorf("%s: no Text renderer, falls back to JSON", res.Name)
+			continue
+		}
+		var got, body bytes.Buffer
+		if err := WriteAnalysisText(&got, res); err != nil {
 			t.Fatal(err)
 		}
+		reg.Text(&body, res.Value)
+		if body.Len() == 0 || !strings.HasSuffix(got.String(), "\n"+body.String()) {
+			t.Errorf("%s: text output does not end in its renderer's body:\n%s", res.Name, got.String())
+		}
+		all.Write(got.Bytes())
 	}
-	out := buf.String()
 	for _, want := range []string{
 		"raw results:", "yearly means:", "S3 @", "Benchmark",
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(all.String(), want) {
 			t.Errorf("rendered text missing %q", want)
 		}
+	}
+}
+
+// TestWriteAnalysisTextJSONFallback: an analysis without a Text
+// renderer prints as indented JSON.
+func TestWriteAnalysisTextJSONFallback(t *testing.T) {
+	var buf bytes.Buffer
+	res := Result{Name: "unregistered", Description: "d", Value: map[string]int{"a": 1}}
+	if err := WriteAnalysisText(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(buf.String(), "{\n  \"a\": 1\n}\n") {
+		t.Errorf("fallback text = %q", buf.String())
 	}
 }
 

@@ -19,7 +19,8 @@
 //   - nodeterminism: no time.Now, global math/rand, os.Getenv, or
 //     goroutine-ordering-sensitive constructs (go statements,
 //     multi-clause selects) in any function reachable from a
-//     Register/RegisterParams/RegisterStatic-registered analysis func.
+//     Register/RegisterParams/RegisterStatic-registered analysis func
+//     or from the text renderer its analysis.Text option attaches.
 //   - mapsort: a range over a map whose keys or values feed append or
 //     fmt printing must be followed by a sort call in the same
 //     function, so map iteration order never reaches output.

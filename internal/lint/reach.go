@@ -35,7 +35,9 @@ type reachability struct {
 // point is any func literal or named func passed to
 // analysis.Register/RegisterParams/RegisterStatic — located by type,
 // not position, because trailing RegOptions (analysis.Reads(...)) are
-// also func-typed arguments and must not shadow the entry. From each entry the
+// also func-typed arguments and must not shadow the entry — and any
+// text renderer passed to an analysis.Text option of such a call, since
+// the report's bytes are served output too. From each entry the
 // walk follows every *reference* to a module-declared function — call
 // position or not, so a metric func stored in a table and invoked
 // through a variable still counts — across package boundaries.
@@ -63,6 +65,11 @@ func (p *Program) Reachable() []reachBody {
 				for _, arg := range call.Args {
 					if isAnalysisFuncArg(pkg.Info, arg) {
 						r.addEntry(p, pkg, arg)
+					} else if opt, ok := ast.Unparen(arg).(*ast.CallExpr); ok &&
+						isPkgFunc(funcObj(pkg.Info, opt), registryPath, "Text") {
+						for _, fn := range opt.Args {
+							r.addEntry(p, pkg, fn)
+						}
 					}
 				}
 				return true
@@ -73,11 +80,15 @@ func (p *Program) Reachable() []reachBody {
 	return r.bodies
 }
 
-// addEntry admits one Register call's func argument into the set.
+// addEntry admits one Register call's func argument into the set. A
+// func built by a call (a renderer constructor such as
+// trendText("W/socket")) admits every module function the call names.
 func (r *reachability) addEntry(p *Program, pkg *Package, arg ast.Expr) {
 	switch arg := ast.Unparen(arg).(type) {
 	case *ast.FuncLit:
 		r.bodies = append(r.bodies, reachBody{node: arg, pkg: pkg, name: "registered func literal"})
+		r.walk(p, pkg, arg)
+	case *ast.CallExpr:
 		r.walk(p, pkg, arg)
 	default:
 		if fn := exprFunc(pkg.Info, arg); fn != nil {

@@ -5,6 +5,8 @@
 package fixture
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -32,6 +34,26 @@ func init() {
 	analysis.Register("ndet-observer", "kernel progress observer", observerEmitter)
 	analysis.Register("ndet-stored", "metric stored in a table", storedMetric)
 	analysis.Register("ndet-select", "racing select", selectRace)
+	// Text renderers print served bytes, so they are entry points too:
+	// named, built by a constructor, and literal.
+	analysis.Register("ndet-text", "renderer reads the clock", seededRand,
+		analysis.Text(clockText))
+	analysis.Register("ndet-text-ctor", "constructed renderer", seededRand,
+		analysis.Text(labelledText("x")))
+	analysis.Register("ndet-text-literal", "literal renderer", seededRand,
+		analysis.Text(func(w io.Writer, v float64) {
+			fmt.Fprint(w, v, os.Getenv("SPEC_MODE")) // want "reads the process environment"
+		}))
+}
+
+func clockText(w io.Writer, v float64) {
+	fmt.Fprint(w, v, time.Now()) // want "reads the wall clock"
+}
+
+func labelledText(label string) func(io.Writer, float64) {
+	return func(w io.Writer, v float64) {
+		fmt.Fprint(w, label, v, rand.Int()) // want "draws from the global math/rand source"
+	}
 }
 
 func selectRace(ds *analysis.Dataset) (any, error) {

@@ -2,6 +2,7 @@ package speccpu
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/catalog"
 	"repro/internal/model"
@@ -93,4 +94,14 @@ func Table1(intelSys, amdSys DuelSystem) ([]DuelRow, error) {
 		rows[i].Factor = rows[i].AMD / rows[i].Intel
 	}
 	return rows, nil
+}
+
+// WriteTable1 renders Table I as terminal text, with the paper's
+// factors for comparison.
+func WriteTable1(w io.Writer, rows []DuelRow) {
+	fmt.Fprintf(w, "%-36s %10s %10s %8s\n", "Benchmark", "Intel", "AMD", "Factor")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-36s %10.0f %10.0f %8.2f\n", r.Benchmark, r.Intel, r.AMD, r.Factor)
+	}
+	fmt.Fprintf(w, "(paper factors: ssj ×2.09, fp ×1.53, int ×2.03)\n")
 }
