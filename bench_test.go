@@ -596,8 +596,9 @@ func BenchmarkCachedIngest(b *testing.B) {
 // BenchmarkServeAnalysis (D10): one analysis request through the HTTP
 // serving stack. cold-scope pays for everything — engine build, corpus
 // ingestion, the analysis itself — on a fresh server each iteration;
-// warm-scope hits a resident scope engine, so the request writes the
-// body encoded (and digested) once per memoized value; warm-etag-304
+// cold-filter pays for a new filter scope beside a warm whole-corpus
+// one; warm-scope hits a resident scope engine, so the request writes
+// the body encoded (and digested) once per memoized value; warm-etag-304
 // revalidates with If-None-Match and transfers nothing at all;
 // warm-report re-reads the full text report, rendered once per corpus
 // state. warm-scope runs with tracing explicitly off so the traced
@@ -626,6 +627,31 @@ func BenchmarkServeAnalysis(b *testing.B) {
 	b.Run("cold-scope", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if rec := request(b, newServer(), ""); rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	})
+	// cold-filter is the filter-scope miss: the whole-corpus scope is
+	// warm, and each iteration requests a scope no resident engine
+	// holds — explore's 240 vendor × year-range scopes in turn, through
+	// a pool too small to keep them — so it pays for building that
+	// scope's engine, its ingestion and the analysis.
+	b.Run("cold-filter", func(b *testing.B) {
+		srv := serve.New(serve.Config{
+			Base:            core.SynthSource{Options: synth.DefaultOptions()},
+			PoolSize:        8,
+			TraceBufferSize: -1,
+		})
+		if err := srv.Warm(); err != nil {
+			b.Fatal(err)
+		}
+		vendors := []string{"amd", "intel", "amd%7Cintel"}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := i % 240
+			path := fmt.Sprintf("/v1/analyses/fig3?filter=vendor%%3D%s%%2Cyear%%3D%d-%d",
+				vendors[s%3], 2005+s/3%10, 2016+s/30)
+			if rec := requestPath(b, srv, path, ""); rec.Code != http.StatusOK {
 				b.Fatalf("status %d", rec.Code)
 			}
 		}

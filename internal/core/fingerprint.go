@@ -67,7 +67,7 @@ func (s SliceSource) Fingerprint() (string, error) {
 // Fingerprint implements Fingerprinter from the result-file listing:
 // relative path, size, and mtime of every corpus file, the same
 // identity CachedSource invalidates by. Parsing nothing keeps it cheap
-// enough to compute per serving scope.
+// enough to compute on every live append.
 func (s DirSource) Fingerprint() (string, error) {
 	return dirFingerprint(s.Dir)
 }

@@ -34,35 +34,37 @@
 //
 // # The scope-keyed engine pool
 //
-// Every distinct scope maps to one lazily built core.Engine wrapped in
-// FilterSource over the server's base source. Scopes are canonicalized
-// (lower-cased, clause-sorted) before keying, so "since=2021,vendor=AMD"
-// and "vendor=amd, since=2021" share an engine. Construction is
-// single-flight: the pool entry is inserted under the pool lock but
-// built inside the entry's sync.Once, so N concurrent requests for the
-// same cold scope perform exactly one build — and because the engine
-// memoizes its dataset and analyses behind sync.Once too, they share
-// one corpus ingestion and one computation per analysis instead of
-// stampeding the parser. The pool is LRU-bounded: beyond PoolSize
-// resident engines the least recently served scope is evicted (a
-// request already holding the evicted engine finishes unharmed; the
-// next request for that scope rebuilds). Failures are never pinned:
-// a scope whose fingerprint or ingestion errors is dropped from the
-// pool, so a transient corpus problem is retried by the next request
-// instead of replaying a memoized error forever.
+// Every distinct scope maps to one lazily built core.Engine. Scopes are
+// canonicalized (lower-cased, clause-sorted) before keying, so
+// "since=2021,vendor=AMD" and "vendor=amd, since=2021" share an engine.
+// The unfiltered scope is the root, which streams the base source; a
+// filter scope is a view of it: the root's ingested runs that pass the
+// filter, in stream order, classified by a new engine on first use. It
+// serves what a fresh ingest of core.FilterSource over the base would,
+// without touching the corpus directory or parse cache, and its ingest
+// event names the source filter(<expr>, slice[n]), with no parts.
+// Builds are single-flight (inside the entry's sync.Once, under the
+// append-plane lock): N concurrent requests for a cold scope share one
+// build, one ingestion, and one computation per analysis. Beyond
+// PoolSize resident engines the least recently served scope is evicted
+// (a request holding it finishes unharmed); the root stays the origin
+// of scope builds, and a later unfiltered request puts it back. A
+// failed build or ingestion is dropped, never pinned. Without live
+// ingestion the corpus is never re-read: a scope first requested after
+// files land in the directory serves the root's corpus and fingerprint.
 //
 // # ETags
 //
 // Responses carry strong ETags derived from (corpus fingerprint,
-// endpoint, analysis name, canonical filter, canonical params). The fingerprint comes
-// from core.SourceFingerprint — for directory corpora a digest of every
-// file's path, size, and mtime; for synthetic corpora the generator
-// options — so the validator changes exactly when the served bytes
-// could. A repeat request carrying If-None-Match is answered 304 Not
-// Modified with zero recomputation and an empty body. Responses are
-// marked Cache-Control: no-cache, which tells well-behaved clients to
-// revalidate (cheap: a 304) rather than serve possibly-stale copies
-// blindly.
+// endpoint, analysis name, canonical filter, canonical params). The
+// root's fingerprint is core.SourceFingerprint — for directory corpora
+// a digest of every file's path, size, and mtime; for synthetic ones
+// the generator options — so the validator changes exactly when the
+// served bytes could. A scope's is derived without a walk, as
+// core.FilterSource reports it: core.Digest("filter", expr, root). A
+// repeat request carrying If-None-Match is answered 304 Not Modified
+// with no recomputation and an empty body; Cache-Control: no-cache
+// makes clients revalidate.
 //
 // # Observability
 //

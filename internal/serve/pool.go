@@ -24,13 +24,10 @@ type scope struct {
 
 // parseScope canonicalizes and compiles a ?filter= expression. The
 // canonical form — lower-cased, space-trimmed clauses in sorted order —
-// keys the engine pool, so semantically equal spellings share one
-// engine. An expression with no clauses left after trimming (absent,
-// empty-but-present ?filter=, whitespace, bare commas) canonicalizes to
-// the zero scope, so every such spelling shares the single unfiltered
-// pool entry rather than keying duplicates. Filter comparisons are
-// case-insensitive throughout core.ParseFilter, which makes the
-// lower-casing safe.
+// keys the engine pool, so equal spellings share one engine; with no
+// clauses left (absent, empty, whitespace, bare commas) it is the zero
+// scope, the root. core.ParseFilter compares case-insensitively, which
+// makes the lower-casing safe.
 func parseScope(expr string) (scope, error) {
 	var clauses []string
 	for _, c := range strings.Split(strings.ToLower(expr), ",") {
@@ -50,27 +47,22 @@ func parseScope(expr string) (scope, error) {
 	return scope{expr: canonical, keep: keep}, nil
 }
 
-// poolEntry is one resident scope engine. The engine and its corpus
-// fingerprint are built inside once, so concurrent requests for a cold
-// scope block on the same construction instead of each building their
-// own (and then, through the engine's own sync.Once memoization, share
-// one ingestion and one computation per analysis).
+// poolEntry is one scope engine. The engine and its corpus fingerprint
+// are built inside once, so concurrent requests for a cold scope share
+// one construction (and, through the engine's memos, one ingestion).
 type poolEntry struct {
 	scope string
 	keep  func(*model.Run) bool // scope predicate (nil = whole corpus)
 	once  sync.Once
 
 	eng *core.Engine
-	src core.Source // the scope's source, for fingerprint refresh on append
 	err error
 
 	// live orders appends against serving on a live pool: a handler
-	// holds the read side from reading the fingerprint until its
-	// response bytes (and audit record) exist, so the ETag it hands out
-	// always matches the engine state it computed from; absorb holds
-	// the write side while folding runs in and refreshing the
-	// fingerprint. The guarded fields below are immutable on a static
-	// pool — the lock is then uncontended and the fast path unchanged.
+	// holds the read side from reading the fingerprint until its bytes
+	// (and audit record) exist, so its ETag matches the engine state it
+	// computed from; absorb holds the write side. On a static pool the
+	// guarded fields are immutable and the lock uncontended.
 	live         sync.RWMutex
 	fingerprint  string
 	gen          uint64 // live-source generation the fingerprint reflects
@@ -89,9 +81,7 @@ type poolEntry struct {
 }
 
 // enginePool maps canonical scopes to engines, LRU-bounded. Every
-// engine it builds carries the pool's hook, so ingest and compute
-// timings flow into the shared collector no matter which scope they
-// happen on.
+// engine carries the pool's hook, feeding the shared collector.
 type enginePool struct {
 	base    core.Source
 	workers int
@@ -100,15 +90,18 @@ type enginePool struct {
 	events  *evlog.Logger // nil = no event log
 
 	// live is the append-aware base source when live ingestion is on
-	// (it wraps base), nil on a static pool. appendMu serializes the
-	// append plane — absorbs, resets, and the build-time fingerprint
-	// fallback — so generations advance one at a time.
+	// (it wraps base), nil on a static pool. appendMu serializes
+	// absorbs, resets and entry builds, so a build sees one generation.
 	live     *core.AppendSource
 	appendMu sync.Mutex
 
 	mu      sync.Mutex
 	lru     *list.List // of *poolEntry; front = most recently served
 	byScope map[string]*list.Element
+	// root is the scope "" entry every filter scope is a view of. It
+	// outlives LRU eviction (a later "" request reinserts it) and is
+	// cleared only by a failure drop or a reset.
+	root *poolEntry
 
 	builds    atomic.Int64
 	evictions atomic.Int64 // LRU evictions only, the /v1/stats semantics
@@ -155,14 +148,11 @@ func (p *enginePool) observe(ev core.Event) {
 	}
 }
 
-// get returns the entry for sc, building it on first use. Only the
-// entry bookkeeping happens under the pool lock; the build itself runs
-// in the entry's once, so a slow ingestion never blocks requests for
-// other scopes. traceID labels the build events with the request that
-// triggered them ("" with tracing off).
+// get returns the entry for sc, building it on first use under appendMu.
+// traceID labels the build events ("" with tracing off).
 func (p *enginePool) get(sc scope, traceID string) (*poolEntry, error) {
 	p.gets.Add(1)
-	ent, fresh := p.entry(sc.expr)
+	ent, fresh := p.entry(sc)
 	if fresh {
 		p.misses.Add(1)
 	} else {
@@ -171,108 +161,136 @@ func (p *enginePool) get(sc scope, traceID string) (*poolEntry, error) {
 	}
 	if !ent.built.Load() {
 		ent.arrivals.Add(1)
+		p.appendMu.Lock()
+		p.build(ent, traceID)
+		p.appendMu.Unlock()
 	}
-	ent.once.Do(func() {
-		p.events.Debug("pool_build_start",
-			evlog.String("scope", ent.scope),
-			evlog.String("trace_id", traceID))
-		start := time.Now()
-		src := p.source(sc)
-		fp, gen, err := p.stableFingerprint(src)
-		if err != nil {
-			// Never cache a failed build: drop the entry so a transient
-			// problem (corpus dir mid-sync, say) is retried, not pinned.
-			ent.err = err
-			p.dropReason(ent, "build_failed", traceID)
-			return
-		}
-		p.builds.Add(1)
-		ent.fingerprint = fp
-		ent.gen = gen
-		ent.src = src
-		ent.keep = sc.keep
-		ent.eng = core.New(core.WithSource(src), core.WithWorkers(p.workers),
-			core.WithHook(p.observe))
-		// The build stage covers fingerprinting plus construction;
-		// ingestion stays lazy and is timed by the engine itself.
-		dur := time.Since(start)
-		p.metrics.ObserveBuild(dur.Nanoseconds())
-		// Count the single-flight cohort before opening the fast path:
-		// requests arriving after built is set never bump arrivals, so
-		// the joins tally is exactly who waited on this build.
-		joins := ent.arrivals.Load() - 1
-		if joins < 0 {
-			joins = 0 // defensive: the winner itself always arrived
-		}
-		p.joins.Add(joins)
-		ent.built.Store(true)
-		p.events.Info("pool_build",
-			evlog.String("scope", ent.scope),
-			evlog.String("fingerprint", fp),
-			evlog.Int64("joins", joins),
-			evlog.Dur("dur", dur),
-			evlog.String("trace_id", traceID))
-	})
 	if ent.err != nil {
 		return nil, ent.err
 	}
 	return ent, nil
 }
 
-// source builds the corpus source for one scope: the base source,
-// sliced by the scope predicate when there is one.
-func (p *enginePool) source(sc scope) core.Source {
-	if sc.keep == nil {
-		return p.base
-	}
-	return core.FilterSource{Inner: p.base, Keep: sc.keep, Desc: sc.expr}
+// build constructs ent once; appendMu is held. A scope's build stage
+// starts after its origin is ready, so a root ingestion is not counted
+// as build time.
+func (p *enginePool) build(ent *poolEntry, traceID string) {
+	ent.once.Do(func() {
+		p.events.Debug("pool_build_start",
+			evlog.String("scope", ent.scope),
+			evlog.String("trace_id", traceID))
+		var root *poolEntry
+		if ent.keep != nil {
+			root, ent.err = p.origin(traceID)
+		}
+		start := time.Now()
+		if ent.err == nil {
+			ent.err = p.construct(ent, root)
+		}
+		if ent.err != nil { // dropped, so a transient failure is retried
+			p.dropReason(ent, "build_failed", traceID)
+			return
+		}
+		p.builds.Add(1)
+		dur := time.Since(start)
+		p.metrics.ObserveBuild(dur.Nanoseconds())
+		// Count the single-flight cohort before opening the fast path:
+		// requests arriving after built is set never bump arrivals.
+		joins := ent.arrivals.Load() - 1
+		if joins < 0 {
+			joins = 0 // a root built as a scope's origin has no arrivals
+		}
+		p.joins.Add(joins)
+		ent.built.Store(true)
+		p.events.Info("pool_build",
+			evlog.String("scope", ent.scope),
+			evlog.String("fingerprint", ent.fingerprint),
+			evlog.Int64("joins", joins),
+			evlog.Dur("dur", dur),
+			evlog.String("trace_id", traceID))
+	})
 }
 
-// stableFingerprint fingerprints a scope source at a known generation.
-// On a static pool that is just SourceFingerprint. On a live pool an
-// append can land mid-walk, yielding a fingerprint that matches neither
-// the old nor the new corpus — so the generation is read on both sides
-// and the walk retried on a mismatch; after two dirty reads the final
-// attempt runs under appendMu, with the append plane quiesced.
-func (p *enginePool) stableFingerprint(src core.Source) (string, uint64, error) {
-	if p.live == nil {
-		fp, err := core.SourceFingerprint(src)
-		return fp, 0, err
+// origin returns the root entry, built and ingested; appendMu is held.
+func (p *enginePool) origin(traceID string) (*poolEntry, error) {
+	p.mu.Lock()
+	if p.root == nil {
+		p.root = &poolEntry{born: p.gets.Load()}
 	}
-	for attempt := 0; attempt < 2; attempt++ {
-		gen := p.live.Generation()
-		fp, err := core.SourceFingerprint(src)
+	root := p.root
+	p.mu.Unlock()
+	p.build(root, traceID)
+	if root.err != nil {
+		return nil, root.err
+	}
+	if _, err := root.eng.Dataset(); err != nil {
+		p.dropReason(root, "ingestion_failed", traceID)
+		return nil, err
+	}
+	return root, nil
+}
+
+// construct sets ent's engine and fingerprint. The root streams and
+// fingerprints the base. A scope is a view of the root: the root's raw
+// runs that pass the predicate, in order, frozen in a slice its engine
+// classifies lazily, under FilterSource's fingerprint, derived unwalked.
+func (p *enginePool) construct(ent *poolEntry, root *poolEntry) error {
+	src := p.base
+	if root == nil {
+		fp, err := core.SourceFingerprint(p.base)
 		if err != nil {
-			return "", 0, err
+			return err
 		}
-		if p.live.Generation() == gen {
-			return fp, gen, nil
+		ent.fingerprint = fp
+		if p.live != nil {
+			ent.gen = p.live.Generation()
 		}
+	} else {
+		ds, _ := root.eng.Dataset() // origin ingested it
+		ent.fingerprint = core.Digest("filter", ent.scope, root.fingerprint)
+		ent.gen = root.gen
+		src = core.FilterSource{Inner: core.SliceSource(keepRuns(ds.Raw, ent.keep)), Keep: ent.keep, Desc: ent.scope}
 	}
-	p.appendMu.Lock()
-	defer p.appendMu.Unlock()
-	fp, err := core.SourceFingerprint(src)
-	return fp, p.live.Generation(), err
+	ent.eng = core.New(core.WithSource(src), core.WithWorkers(p.workers),
+		core.WithHook(p.observe))
+	return nil
 }
 
-// entries snapshots the resident entries without disturbing LRU order.
-func (p *enginePool) entries() []*poolEntry {
+// keepRuns returns the runs keep accepts, in order.
+func keepRuns(runs []*model.Run, keep func(*model.Run) bool) []*model.Run {
+	var out []*model.Run
+	for _, r := range runs {
+		if keep(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// entries snapshots the resident entries and the root, evicted or not,
+// without disturbing LRU order; with clear it also empties the pool.
+func (p *enginePool) entries(clear bool) []*poolEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ents := make([]*poolEntry, 0, p.lru.Len())
+	var ents []*poolEntry
 	for el := p.lru.Front(); el != nil; el = el.Next() {
 		ents = append(ents, el.Value.(*poolEntry))
+	}
+	if _, resident := p.byScope[""]; p.root != nil && !resident {
+		ents = append(ents, p.root)
+	}
+	if clear {
+		p.root = nil
+		p.lru.Init()
+		p.byScope = map[string]*list.Element{}
 	}
 	return ents
 }
 
-// absorb folds freshly arrived runs into the live corpus: it advances
-// the append source — Append for runs that exist nowhere else (the
-// POST /v1/runs path), Bump for runs whose files the base source
-// already sees (the watcher path, where appending them again would
-// deliver them twice to engines that ingest later) — then walks every
-// resident entry, feeding matching runs through its engine's delta path
-// and refreshing its fingerprint. Returns the new generation.
+// absorb folds freshly arrived runs into the live corpus — Append for
+// runs that exist nowhere else (POST /v1/runs), Bump for runs whose
+// files the base already sees (the watcher) — and into every entry.
+// Returns the new generation.
 func (p *enginePool) absorb(runs []*model.Run, viaOverlay bool, traceID string) uint64 {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
@@ -284,8 +302,13 @@ func (p *enginePool) absorb(runs []*model.Run, viaOverlay bool, traceID string) 
 	}
 	p.appends.Add(1)
 	p.appendedRuns.Add(int64(len(runs)))
-	for _, ent := range p.entries() {
-		p.absorbEntry(ent, runs, gen, traceID)
+	fp, err := core.SourceFingerprint(p.base) // the one walk: scopes derive theirs
+	for _, ent := range p.entries(false) {
+		if err != nil {
+			p.dropReason(ent, "append_failed", traceID)
+		} else {
+			p.absorbEntry(ent, runs, fp, gen, traceID)
+		}
 	}
 	p.events.Info("pool_append",
 		evlog.Int("runs", len(runs)),
@@ -295,45 +318,26 @@ func (p *enginePool) absorb(runs []*model.Run, viaOverlay bool, traceID string) 
 	return gen
 }
 
-// absorbEntry folds one absorbed append into one resident entry, under
-// its write lock so no in-flight request sees the fingerprint move
-// between its ETag and its body. Entries still building are skipped —
-// their build fingerprints the post-append source (stableFingerprint
-// rules out the torn read) and their engine ingests it whole. Likewise
-// an already-current entry (built after the bump), and an engine that
-// has not ingested yet: its eventual ingestion streams the post-append
-// source, so feeding it the runs now would deliver them twice.
-func (p *enginePool) absorbEntry(ent *poolEntry, runs []*model.Run, gen uint64, traceID string) {
+// absorbEntry folds one append into one built entry, under its write
+// lock so no request sees the fingerprint move between its ETag and
+// its body. A scope's frozen slice always takes its matching runs
+// through Engine.Append (which ingests first if needed); a root not
+// ingested yet skips them, as its ingestion streams the grown base.
+func (p *enginePool) absorbEntry(ent *poolEntry, runs []*model.Run, baseFP string, gen uint64, traceID string) {
 	if !ent.built.Load() {
-		return
+		return // its build, ordered after this append, sees the new corpus
 	}
 	ent.live.Lock()
 	defer ent.live.Unlock()
-	if ent.gen >= gen {
-		return
+	matching, fp := runs, baseFP
+	if ent.keep != nil {
+		matching = keepRuns(runs, ent.keep)
+		fp = core.Digest("filter", ent.scope, baseFP)
+	} else if !ent.eng.Ingested() {
+		matching = nil
 	}
-	var st core.AppendStats
-	if ent.eng.Ingested() {
-		matching := runs
-		if ent.keep != nil {
-			matching = nil
-			for _, r := range runs {
-				if ent.keep(r) {
-					matching = append(matching, r)
-				}
-			}
-		}
-		var err error
-		if st, err = ent.eng.Append(matching); err != nil {
-			// A failed delta leaves the engine's dataset behind its
-			// source: drop the entry so the next request rebuilds from
-			// the full post-append corpus.
-			p.dropReason(ent, "append_failed", traceID)
-			return
-		}
-	}
-	fp, err := core.SourceFingerprint(ent.src)
-	if err != nil {
+	st, err := ent.eng.Append(matching)
+	if err != nil { // the dataset is behind its source: rebuild
 		p.dropReason(ent, "append_failed", traceID)
 		return
 	}
@@ -349,46 +353,41 @@ func (p *enginePool) absorbEntry(ent *poolEntry, runs []*model.Run, gen uint64, 
 		evlog.String("trace_id", traceID))
 }
 
-// reset drops every resident entry and advances the generation: the
-// base corpus changed in a way the delta path cannot express (a file
-// modified or removed under the watcher), so every engine and every
-// outstanding ETag is stale. In-flight requests finish against the
-// engines they already hold — their ETags match the bytes they serve,
-// and the next revalidation misses.
+// reset drops every entry, the root included, and advances the live
+// generation: the base changed in a way the delta path cannot express
+// (a file modified or removed), so every engine and ETag is stale.
 func (p *enginePool) reset(reason string) int {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
-	if p.live != nil {
-		p.live.Bump()
-	}
-	p.mu.Lock()
-	dropped := make([]string, 0, p.lru.Len())
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		dropped = append(dropped, el.Value.(*poolEntry).scope)
-	}
-	p.lru.Init()
-	p.byScope = map[string]*list.Element{}
-	p.mu.Unlock()
-	for _, sc := range dropped {
+	p.live.Bump()
+	ents := p.entries(true)
+	for _, ent := range ents {
 		p.events.Info("pool_evict",
-			evlog.String("scope", sc),
+			evlog.String("scope", ent.scope),
 			evlog.String("reason", reason))
 	}
-	return len(dropped)
+	return len(ents)
 }
 
 // entry looks the scope up, inserting (and evicting beyond the LRU
-// bound) when missing. Served scopes move to the LRU front. The bool
-// reports whether the entry was freshly inserted (a pool miss).
-func (p *enginePool) entry(key string) (*poolEntry, bool) {
+// bound) when missing; a "" miss inserts the root when there is one.
+// Served scopes move to the LRU front. The bool reports whether the
+// entry was freshly inserted (a pool miss).
+func (p *enginePool) entry(sc scope) (*poolEntry, bool) {
 	p.mu.Lock()
-	if el, ok := p.byScope[key]; ok {
+	if el, ok := p.byScope[sc.expr]; ok {
 		p.lru.MoveToFront(el)
 		p.mu.Unlock()
 		return el.Value.(*poolEntry), false
 	}
-	ent := &poolEntry{scope: key, born: p.gets.Load()}
-	p.byScope[key] = p.lru.PushFront(ent)
+	ent := &poolEntry{scope: sc.expr, keep: sc.keep, born: p.gets.Load()}
+	if sc.expr == "" {
+		if p.root == nil {
+			p.root = ent
+		}
+		ent = p.root
+	}
+	p.byScope[sc.expr] = p.lru.PushFront(ent)
 	var evicted []string
 	for p.lru.Len() > p.max {
 		back := p.lru.Back()
@@ -406,17 +405,20 @@ func (p *enginePool) entry(key string) (*poolEntry, bool) {
 	return ent, true
 }
 
-// dropReason removes ent — unless the scope has already been
-// re-inserted by a later request (then the newer entry stays) — and
-// attributes the removal: "build_failed" for a construction error,
-// "ingestion_failed" for a corpus that broke after construction. LRU
-// removals never come through here; entry() owns those.
+// dropReason removes ent from the pool (unless a later request
+// re-inserted its scope) and as the root, attributing the removal:
+// "build_failed", "ingestion_failed" or "append_failed". LRU removals
+// go through entry() instead.
 func (p *enginePool) dropReason(ent *poolEntry, reason, traceID string) {
 	p.mu.Lock()
 	removed := false
 	if el, ok := p.byScope[ent.scope]; ok && el.Value.(*poolEntry) == ent {
 		p.lru.Remove(el)
 		delete(p.byScope, ent.scope)
+		removed = true
+	}
+	if p.root == ent {
+		p.root = nil
 		removed = true
 	}
 	p.mu.Unlock()

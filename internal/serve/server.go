@@ -85,7 +85,6 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	pool     *enginePool
-	live     *core.AppendSource // nil unless cfg.Live
 	gate     chan struct{}
 	handler  http.Handler
 	started  time.Time
@@ -116,7 +115,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		pool:    newEnginePool(cfg.Base, live, cfg.Workers, cfg.PoolSize, metrics, cfg.Events),
-		live:    live,
 		gate:    make(chan struct{}, cfg.MaxInFlight),
 		started: time.Now(),
 		metrics: metrics,
@@ -155,12 +153,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// Warm pre-builds the whole-corpus engine and ingests its dataset, so
-// the first unfiltered request after startup is served from memory
-// instead of paying for ingestion. The ingestion runs under the
-// entry's read lock like any request's would, so on a live pool it
-// cannot interleave with an absorb (which would leave the entry's
-// fingerprint ahead of the data the engine streamed).
+// Warm pre-builds the root engine and ingests its dataset, so no
+// request after startup streams the corpus (filter scopes are views of
+// the root). It ingests under the entry's read lock like
+// any request, so on a live pool no absorb interleaves with it.
 func (s *Server) Warm() error {
 	ent, err := s.pool.get(scope{}, "")
 	if err != nil {
@@ -615,10 +611,10 @@ var errNotLive = errors.New("serve: live ingestion disabled (set Config.Live)")
 // Generation reports the live corpus generation (0 on a static server:
 // the corpus never moves).
 func (s *Server) Generation() uint64 {
-	if s.live == nil {
+	if s.pool.live == nil {
 		return 0
 	}
-	return s.live.Generation()
+	return s.pool.live.Generation()
 }
 
 // AppendRuns folds runs that exist nowhere else — no backing file the
@@ -627,7 +623,7 @@ func (s *Server) Generation() uint64 {
 // absorbed them when it returns. The programmatic form of POST
 // /v1/runs.
 func (s *Server) AppendRuns(runs ...*model.Run) (uint64, error) {
-	if s.live == nil {
+	if s.pool.live == nil {
 		return 0, errNotLive
 	}
 	return s.pool.absorb(runs, true, ""), nil
@@ -635,12 +631,12 @@ func (s *Server) AppendRuns(runs ...*model.Run) (uint64, error) {
 
 // AbsorbBaseGrowth folds runs whose result files the base source
 // already sees — the watcher path, after new files landed in the
-// corpus directory. The runs reach resident engines through the delta
-// path, but stay out of the overlay: engines built later stream them
+// corpus directory. The runs reach built engines through the delta
+// path, but stay out of the overlay: a root built later streams them
 // from the base source, and double-absorbing them here would deliver
 // them twice.
 func (s *Server) AbsorbBaseGrowth(runs ...*model.Run) (uint64, error) {
-	if s.live == nil {
+	if s.pool.live == nil {
 		return 0, errNotLive
 	}
 	return s.pool.absorb(runs, false, ""), nil
@@ -651,7 +647,7 @@ func (s *Server) AbsorbBaseGrowth(runs ...*model.Run) (uint64, error) {
 // file modified or deleted), so each scope rebuilds from the current
 // corpus on its next request. Returns the number of entries dropped.
 func (s *Server) ResetPool(reason string) (int, error) {
-	if s.live == nil {
+	if s.pool.live == nil {
 		return 0, errNotLive
 	}
 	return s.pool.reset(reason), nil

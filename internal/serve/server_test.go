@@ -483,7 +483,8 @@ func TestETagRoundTrip(t *testing.T) {
 }
 
 // TestSingleFlight: N concurrent requests for the same cold scope build
-// exactly one engine and stream the corpus exactly once.
+// exactly one scope engine — plus the root engine it is a view of —
+// and stream the corpus exactly once.
 func TestSingleFlight(t *testing.T) {
 	s, streams := testServer(t, Config{})
 	const n = 8
@@ -508,8 +509,8 @@ func TestSingleFlight(t *testing.T) {
 			t.Errorf("request %d: ETag %q differs from %q", i, etags[i], etags[0])
 		}
 	}
-	if got := s.Stats().EngineBuilds; got != 1 {
-		t.Errorf("engine_builds = %d, want 1 (single-flight)", got)
+	if got := s.Stats().EngineBuilds; got != 2 {
+		t.Errorf("engine_builds = %d, want 2 (single-flight scope + its root)", got)
 	}
 	if got := streams.Load(); got != 1 {
 		t.Errorf("corpus streamed %d times under concurrency, want 1", got)
@@ -561,7 +562,9 @@ func TestWarmScopeServedFromMemo(t *testing.T) {
 }
 
 // TestPoolEviction: past the LRU bound the least recently served scope
-// is evicted and a later request for it rebuilds.
+// is evicted and a later request for it rebuilds. The first scope also
+// builds the root engine every scope is a view of; the root is the
+// pool's origin, not a resident scope, so it takes no LRU slot.
 func TestPoolEviction(t *testing.T) {
 	s, _ := testServer(t, Config{PoolSize: 2})
 	hit := func(filter string) {
@@ -578,23 +581,23 @@ func TestPoolEviction(t *testing.T) {
 	if st.PoolEngines != 2 {
 		t.Errorf("pool_engines = %d, want 2", st.PoolEngines)
 	}
-	if st.EngineBuilds != 3 || st.PoolEvictions != 1 {
-		t.Errorf("builds/evictions = %d/%d, want 3/1", st.EngineBuilds, st.PoolEvictions)
+	if st.EngineBuilds != 4 || st.PoolEvictions != 1 {
+		t.Errorf("builds/evictions = %d/%d, want 4/1", st.EngineBuilds, st.PoolEvictions)
 	}
 	hit("os%3DLinux") // still resident: no rebuild
-	if got := s.Stats().EngineBuilds; got != 3 {
+	if got := s.Stats().EngineBuilds; got != 4 {
 		t.Errorf("resident scope rebuilt: builds = %d", got)
 	}
-	hit("vendor%3DAMD") // evicted: rebuilt, evicting intel
+	hit("vendor%3DAMD") // evicted: rebuilt from the same root, evicting intel
 	st = s.Stats()
-	if st.EngineBuilds != 4 || st.PoolEvictions != 2 {
-		t.Errorf("after re-request: builds/evictions = %d/%d, want 4/2",
+	if st.EngineBuilds != 5 || st.PoolEvictions != 2 {
+		t.Errorf("after re-request: builds/evictions = %d/%d, want 5/2",
 			st.EngineBuilds, st.PoolEvictions)
 	}
 }
 
 // TestScopeCanonicalization: different spellings of the same filter
-// share one pool engine.
+// share one pool engine (built beside the root engine it views).
 func TestScopeCanonicalization(t *testing.T) {
 	s, streams := testServer(t, Config{})
 	for _, spelling := range []string{
@@ -607,8 +610,8 @@ func TestScopeCanonicalization(t *testing.T) {
 			t.Fatalf("spelling %q: status %d: %s", spelling, rec.Code, rec.Body)
 		}
 	}
-	if got := s.Stats().EngineBuilds; got != 1 {
-		t.Errorf("equal scopes built %d engines, want 1", got)
+	if got := s.Stats().EngineBuilds; got != 2 {
+		t.Errorf("equal scopes built %d engines, want 2 (one scope + its root)", got)
 	}
 	if got := streams.Load(); got != 1 {
 		t.Errorf("equal scopes streamed %d times, want 1", got)

@@ -140,9 +140,9 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.traces != nil {
 		snap.Traces = &TraceStats{Capacity: s.traces.Capacity(), Recorded: s.traces.Recorded()}
 	}
-	if s.live != nil {
+	if s.pool.live != nil {
 		snap.Live = &LiveStats{
-			Generation:   s.live.Generation(),
+			Generation:   s.pool.live.Generation(),
 			Appends:      s.pool.appends.Load(),
 			AppendedRuns: s.pool.appendedRuns.Load(),
 		}
@@ -202,9 +202,9 @@ func (s *Server) gauges() obs.ServerGauges {
 		g.TraceCapacity = s.traces.Capacity()
 		g.TracesRecorded = int64(s.traces.Recorded())
 	}
-	if s.live != nil {
+	if s.pool.live != nil {
 		g.LiveEnabled = true
-		g.Generation = s.live.Generation()
+		g.Generation = s.pool.live.Generation()
 		g.AppendsTotal = s.pool.appends.Load()
 		g.AppendedRunsTotal = s.pool.appendedRuns.Load()
 	}
