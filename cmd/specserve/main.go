@@ -3,11 +3,10 @@
 // (internal/cliutil), exposing
 //
 //	GET /healthz                      liveness
-//	GET /metrics                      Prometheus text exposition
+//	GET /metrics                      Prometheus text exposition (counters, stage/analysis latency histograms)
 //	GET /v1/analyses                  registry listing with parameter schemas
 //	GET /v1/analyses/{name}?filter=   one analysis over a corpus slice
 //	GET /v1/report?filter=            the full text report
-//	GET /v1/stats                     serving metrics (JSON, stage/analysis latency breakdowns)
 //	GET /v1/pool                      engine-pool introspection (resident scopes, cache counters)
 //	GET /v1/traces                    recent request traces (?n= count, ?min_ms= slow filter)
 //	POST /v1/runs                     append one result file to the live corpus (-live/-watch only)
@@ -47,8 +46,8 @@
 // files are absorbed like POSTed runs, while modified or deleted files
 // — changes an append cannot express — reset the engine pool so every
 // scope rebuilds from the changed directory. Generation and append
-// counters surface in /v1/stats, /v1/pool, and /metrics
-// (specserve_generation, specserve_appends_total).
+// counters surface in /metrics (specserve_generation,
+// specserve_appends_total) and per scope in /v1/pool.
 //
 // Usage:
 //

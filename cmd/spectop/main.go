@@ -1,8 +1,10 @@
 // Command spectop is a live terminal dashboard for a running specserve:
-// it polls GET /metrics, /v1/stats, and /v1/pool and renders pool
-// occupancy (one row per resident scope engine), request and stage
-// latency summaries, and cache hit ratios (engine memo, cluster memo
-// rings, gob parse cache), refreshing in place until interrupted.
+// it polls GET /metrics and /v1/pool and renders pool occupancy (one
+// row per resident scope engine), request counters, stage latency
+// percentiles, and cache hit ratios (engine memo, cluster memo rings,
+// gob parse cache), refreshing in place until interrupted. Stage
+// percentiles come from the exposition's buckets through
+// obs.HistogramSnapshot.QuantileNs, the server's own estimator.
 //
 // Usage:
 //
@@ -20,14 +22,17 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -72,27 +77,25 @@ func main() {
 	}
 }
 
-// snapshot is one poll of the three introspection surfaces.
+// snapshot is one poll of the two introspection surfaces.
 type snapshot struct {
-	stats   serve.StatsSnapshot
-	pool    serve.PoolSnapshot
 	metrics map[string]float64
+	pool    serve.PoolSnapshot
 }
 
 func fetch(client *http.Client, base string) (*snapshot, error) {
-	snap := &snapshot{}
-	if err := getJSON(client, base+"/v1/stats", &snap.stats); err != nil {
-		return nil, err
-	}
-	if err := getJSON(client, base+"/v1/pool", &snap.pool); err != nil {
-		return nil, err
-	}
 	body, err := get(client, base+"/metrics")
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
-	snap.metrics = parseMetrics(body)
+	snap := &snapshot{}
+	if snap.metrics, err = parseMetrics(body); err != nil {
+		return nil, fmt.Errorf("%s/metrics: %w", base, err)
+	}
+	if err := getJSON(client, base+"/v1/pool", &snap.pool); err != nil {
+		return nil, err
+	}
 	return snap, nil
 }
 
@@ -122,8 +125,10 @@ func getJSON(client *http.Client, url string, v any) error {
 
 // parseMetrics reads a Prometheus text exposition into a flat
 // series → value map, keys kept verbatim including label sets
-// (`specserve_pool_evictions_total{reason="lru"}`).
-func parseMetrics(r io.Reader) map[string]float64 {
+// (`specserve_pool_evictions_total{reason="lru"}`). Lines that are not
+// a series and a value are skipped; a read error is returned, so a
+// truncated page is not mistaken for a complete one.
+func parseMetrics(r io.Reader) (map[string]float64, error) {
 	m := map[string]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
@@ -142,7 +147,50 @@ func parseMetrics(r io.Reader) map[string]float64 {
 		}
 		m[line[:i]] = v
 	}
-	return m
+	return m, sc.Err()
+}
+
+// stageHistogram rebuilds one stage's histogram from the
+// specserve_stage_duration_seconds series, taking the bucket bounds
+// from the le labels on the page. ok is false when the server exposed
+// no series for the stage (it omits stages with no observations).
+func stageHistogram(mx map[string]float64, stage string) (h obs.HistogramSnapshot, ok bool) {
+	const name = "specserve_stage_duration_seconds"
+	count, ok := mx[name+`_count{stage="`+stage+`"}`]
+	if !ok {
+		return h, false
+	}
+	h.Count = uint64(count)
+	h.SumNs = secondsToNs(mx[name+`_sum{stage="`+stage+`"}`])
+	prefix := name + `_bucket{stage="` + stage + `",le="`
+	for key, v := range mx {
+		le, found := strings.CutPrefix(key, prefix)
+		le, closed := strings.CutSuffix(le, `"}`)
+		if !found || !closed {
+			continue
+		}
+		upper := int64(-1) // +Inf
+		if le != "+Inf" {
+			sec, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				continue
+			}
+			upper = secondsToNs(sec)
+		}
+		h.Buckets = append(h.Buckets, obs.Bucket{UpperNs: upper, Cumulative: uint64(v)})
+	}
+	// Ascending bounds, +Inf last.
+	sort.Slice(h.Buckets, func(i, j int) bool {
+		a, b := h.Buckets[i].UpperNs, h.Buckets[j].UpperNs
+		return b < 0 && a >= 0 || a >= 0 && a < b
+	})
+	return h, true
+}
+
+// secondsToNs inverts the exposition's seconds rendering of a
+// nanosecond count.
+func secondsToNs(sec float64) int64 {
+	return int64(math.Round(sec * 1e9))
 }
 
 // ratio renders hits/(hits+misses) as a percentage, "-" when idle.
@@ -180,23 +228,26 @@ func shortFp(fp string) string {
 }
 
 func render(w io.Writer, addr string, s *snapshot) {
-	st, mx := s.stats, s.metrics
+	mx := s.metrics
+	n := func(series string) int64 { return int64(mx[series]) }
 	fmt.Fprintf(w, "specserve top — %s   up %.1fs   analyses %d\n\n",
-		addr, st.UptimeSeconds, st.Analyses)
+		addr, mx["specserve_uptime_seconds"], n("specserve_registered_analyses"))
 
 	fmt.Fprintf(w, "requests   total %-8d 304 %-6d 4xx %-6d 5xx %-6d busy-rejects %-6d in-flight %d\n",
-		st.Requests, st.NotModified, st.ClientErrors, st.Errors, st.RejectedBusy, st.InFlight)
+		n("specserve_requests_total"), n("specserve_not_modified_total"),
+		n("specserve_client_errors_total"), n("specserve_server_errors_total"),
+		n("specserve_rejected_busy_total"), n("specserve_in_flight_requests"))
 	fmt.Fprintf(w, "pool       %d/%d engines   builds %-6d hits %-6d misses %-6d joins %-6d hit ratio %s\n",
-		st.PoolEngines, st.PoolCapacity, st.EngineBuilds,
-		st.PoolHits, st.PoolMisses, st.PoolJoins,
-		strings.TrimSpace(ratio(float64(st.PoolHits), float64(st.PoolMisses))))
+		n("specserve_pool_engines"), n("specserve_pool_capacity"), n("specserve_engine_builds_total"),
+		n("specserve_pool_hits_total"), n("specserve_pool_misses_total"), n("specserve_pool_joins_total"),
+		strings.TrimSpace(ratio(mx["specserve_pool_hits_total"], mx["specserve_pool_misses_total"])))
 	fmt.Fprintf(w, "evictions  lru %.0f   build_failed %.0f   ingestion_failed %.0f\n",
 		mx[`specserve_pool_evictions_total{reason="lru"}`],
 		mx[`specserve_pool_evictions_total{reason="build_failed"}`],
 		mx[`specserve_pool_evictions_total{reason="ingestion_failed"}`])
-	if st.Live != nil {
+	if _, live := mx["specserve_generation"]; live {
 		fmt.Fprintf(w, "live       generation %-6d appends %-6d appended runs %d\n",
-			st.Live.Generation, st.Live.Appends, st.Live.AppendedRuns)
+			n("specserve_generation"), n("specserve_appends_total"), n("specserve_appended_runs_total"))
 	}
 	fmt.Fprintln(w)
 
@@ -222,11 +273,17 @@ func render(w io.Writer, addr string, s *snapshot) {
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "%-14s %8s %10s %10s %10s\n", "STAGE", "COUNT", "P50", "P95", "P99")
-	for _, sg := range st.Stages { // canonical stage order from the server
-		fmt.Fprintf(w, "%-14s %8d %10s %10s %10s\n",
-			sg.Stage, sg.Count, ms(sg.P50Ns), ms(sg.P95Ns), ms(sg.P99Ns))
+	rows := 0
+	for _, stage := range obs.Stages {
+		h, ok := stageHistogram(mx, stage)
+		if !ok {
+			continue
+		}
+		rows++
+		fmt.Fprintf(w, "%-14s %8d %10s %10s %10s\n", stage, h.Count,
+			ms(h.QuantileNs(0.50)), ms(h.QuantileNs(0.95)), ms(h.QuantileNs(0.99)))
 	}
-	if len(st.Stages) == 0 {
+	if rows == 0 {
 		fmt.Fprintf(w, "  (no stage samples yet)\n")
 	}
 	fmt.Fprintln(w)
@@ -237,18 +294,17 @@ func render(w io.Writer, addr string, s *snapshot) {
 		fmt.Fprintf(w, "%-16s %7s   %.0f/%.0f\n", name, ratio(h, m), h, m)
 	}
 	cacheRow("memo", "specserve_memo_hits_total", "specserve_memo_misses_total")
-	cacheRow("ring:partition",
-		`specserve_memo_ring_hits_total{ring="partition"}`,
-		`specserve_memo_ring_misses_total{ring="partition"}`)
-	cacheRow("ring:sweep",
-		`specserve_memo_ring_hits_total{ring="sweep"}`,
-		`specserve_memo_ring_misses_total{ring="sweep"}`)
+	for _, ring := range []string{"partition", "sweep", "warm"} {
+		cacheRow("ring:"+ring,
+			`specserve_memo_ring_hits_total{ring="`+ring+`"}`,
+			`specserve_memo_ring_misses_total{ring="`+ring+`"}`)
+	}
 	cacheRow("parse",
 		"specserve_parse_cache_hits_total", "specserve_parse_cache_misses_total")
 
-	if st.Audit != nil {
+	if _, audit := mx["specserve_audit_records_total"]; audit {
 		fmt.Fprintf(w, "\naudit      records %-8d queue %.0f   flushes batch %.0f / interval %.0f / close %.0f\n",
-			st.Audit.Records,
+			n("specserve_audit_records_total"),
 			mx["specserve_audit_queue_depth"],
 			mx[`specserve_audit_queue_flushes_total{reason="batch"}`],
 			mx[`specserve_audit_queue_flushes_total{reason="interval"}`],

@@ -217,9 +217,6 @@ func (l *AuditLog) Append(e Entry) {
 // records chained (assigned a seq and encoded toward the file) since.
 func (l *AuditLog) Records() int64 { return l.records.Load() }
 
-// Path returns the log's file path.
-func (l *AuditLog) Path() string { return l.path }
-
 // Close drains every enqueued entry, flushes, and closes the file.
 func (l *AuditLog) Close() error {
 	l.mu.Lock()

@@ -13,9 +13,12 @@
 // build, ingestion and compute arrive once per actual event
 // (ObserveBuild, ObserveIngest, ObserveCompute). The Collector folds
 // both into fixed-bucket histograms (per stage, and per analysis for
-// end-to-end latency) for two consumers: a JSON snapshot for /v1/stats
-// and a Prometheus-text /metrics exposition (WritePrometheus), so
+// end-to-end latency) and renders them, with the serving counters, as
+// one Prometheus-text /metrics exposition (WritePrometheus), so
 // existing scrape tooling works without a client library dependency.
+// Percentiles are read from the cumulative buckets, by spectop through
+// HistogramSnapshot.QuantileNs or by a scraper's histogram_quantile;
+// the server computes none of its own.
 //
 // # Audit
 //

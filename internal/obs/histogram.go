@@ -57,15 +57,15 @@ func (h *Histogram) Observe(d time.Duration) {
 // at or below the upper bound (Prometheus `le` semantics;
 // UpperNs < 0 marks the +Inf overflow bucket).
 type Bucket struct {
-	UpperNs    int64  `json:"upper_ns"`
-	Cumulative uint64 `json:"cumulative"`
+	UpperNs    int64
+	Cumulative uint64
 }
 
 // HistogramSnapshot is one point-in-time reading of a Histogram.
 type HistogramSnapshot struct {
-	Count   uint64   `json:"count"`
-	SumNs   int64    `json:"sum_ns"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Count   uint64
+	SumNs   int64
+	Buckets []Bucket
 }
 
 // Snapshot returns a consistent copy of the histogram state with

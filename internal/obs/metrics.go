@@ -8,8 +8,7 @@ import (
 )
 
 // Stage names for per-stage timing. They are the `stage` label of the
-// Prometheus exposition and the keys of the /v1/stats stage breakdown,
-// so they are part of the wire contract.
+// Prometheus exposition, so they are part of the wire contract.
 const (
 	StageQueueWait   = "queue_wait"   // blocked at the concurrency gate
 	StageEngineBuild = "engine_build" // pool miss: fingerprint + engine construction
@@ -170,42 +169,6 @@ func (c *Collector) Computes() int64 { return c.computes.Load() }
 // MemoHits reports engine memo-cache hits observed.
 func (c *Collector) MemoHits() int64 { return c.memoHits.Load() }
 
-// StageSummary is one stage's aggregate for the JSON stats snapshot.
-type StageSummary struct {
-	Stage  string `json:"stage"`
-	Count  uint64 `json:"count"`
-	SumNs  int64  `json:"sum_ns"`
-	P50Ns  int64  `json:"p50_ns"`
-	P95Ns  int64  `json:"p95_ns"`
-	P99Ns  int64  `json:"p99_ns"`
-	MeanNs int64  `json:"mean_ns"`
-}
-
-// AnalysisSummary is one analysis's latency aggregate for /v1/stats.
-type AnalysisSummary struct {
-	Analysis string `json:"analysis"`
-	Count    uint64 `json:"count"`
-	SumNs    int64  `json:"sum_ns"`
-	P50Ns    int64  `json:"p50_ns"`
-	P95Ns    int64  `json:"p95_ns"`
-	P99Ns    int64  `json:"p99_ns"`
-	MeanNs   int64  `json:"mean_ns"`
-}
-
-// Summary is the Collector's JSON form, embedded in /v1/stats.
-type Summary struct {
-	Stages   []StageSummary    `json:"stages,omitempty"`
-	Analyses []AnalysisSummary `json:"analyses,omitempty"`
-}
-
-func summarize(s HistogramSnapshot) (p50, p95, p99, mean int64) {
-	if s.Count == 0 {
-		return 0, 0, 0, 0
-	}
-	return s.QuantileNs(0.50), s.QuantileNs(0.95), s.QuantileNs(0.99),
-		s.SumNs / int64(s.Count)
-}
-
 // analyses returns the per-analysis latency histograms, sorted by name.
 func (c *Collector) analyses() (names []string, hists []*Histogram) {
 	c.mu.Lock()
@@ -220,35 +183,4 @@ func (c *Collector) analyses() (names []string, hists []*Histogram) {
 		hists[i] = c.byAnalysis[name]
 	}
 	return names, hists
-}
-
-// Summarize returns the bucketed percentile summaries for every stage
-// (in canonical order) and analysis (sorted by name) with at least one
-// observation.
-func (c *Collector) Summarize() Summary {
-	var out Summary
-	for _, stage := range Stages {
-		snap := c.stages[stage].Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		p50, p95, p99, mean := summarize(snap)
-		out.Stages = append(out.Stages, StageSummary{
-			Stage: stage, Count: snap.Count, SumNs: snap.SumNs,
-			P50Ns: p50, P95Ns: p95, P99Ns: p99, MeanNs: mean,
-		})
-	}
-	names, hists := c.analyses()
-	for i, name := range names {
-		snap := hists[i].Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		p50, p95, p99, mean := summarize(snap)
-		out.Analyses = append(out.Analyses, AnalysisSummary{
-			Analysis: name, Count: snap.Count, SumNs: snap.SumNs,
-			P50Ns: p50, P95Ns: p95, P99Ns: p99, MeanNs: mean,
-		})
-	}
-	return out
 }

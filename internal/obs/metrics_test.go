@@ -71,7 +71,10 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestCollectorSummarize(t *testing.T) {
+// TestCollectorStageCounts: request-owned stages count per request,
+// event-fed stages once per event, and every request naming an
+// analysis lands in that analysis's latency histogram.
+func TestCollectorStageCounts(t *testing.T) {
 	c := NewCollector()
 	c.ObserveRequest(&RequestMetrics{
 		Analysis: "fig3", Status: 200,
@@ -86,32 +89,29 @@ func TestCollectorSummarize(t *testing.T) {
 	c.ObserveIngest(9_000_000)
 	c.ObserveCompute(4_000_000)
 
-	sum := c.Summarize()
-	byStage := map[string]StageSummary{}
-	for _, st := range sum.Stages {
-		byStage[st.Stage] = st
+	if got := c.stages[StageQueueWait].Snapshot().Count; got != 2 {
+		t.Errorf("queue_wait count = %d, want 2", got)
 	}
-	if byStage[StageQueueWait].Count != 2 {
-		t.Errorf("queue_wait count = %d, want 2", byStage[StageQueueWait].Count)
-	}
-	if byStage[StageSerialize].Count != 1 {
-		t.Errorf("serialize count = %d, want 1", byStage[StageSerialize].Count)
+	if got := c.stages[StageSerialize].Snapshot().Count; got != 1 {
+		t.Errorf("serialize count = %d, want 1", got)
 	}
 	for _, stage := range []string{StageEngineBuild, StageIngest, StageCompute} {
-		if byStage[stage].Count != 1 {
-			t.Errorf("%s count = %d, want 1 (event-fed, not per-request)", stage, byStage[stage].Count)
+		if got := c.stages[stage].Snapshot().Count; got != 1 {
+			t.Errorf("%s count = %d, want 1 (event-fed, not per-request)", stage, got)
 		}
 	}
-	if len(sum.Analyses) != 1 || sum.Analyses[0].Analysis != "fig3" {
-		t.Fatalf("analyses = %+v, want one fig3 row", sum.Analyses)
+	names, hists := c.analyses()
+	if len(names) != 1 || names[0] != "fig3" {
+		t.Fatalf("analyses = %v, want [fig3]", names)
 	}
 	// Both the 200 and the 304 carried a total, so the per-analysis
 	// latency histogram has two observations.
-	if sum.Analyses[0].Count != 2 {
-		t.Errorf("fig3 latency count = %d, want 2", sum.Analyses[0].Count)
+	fig3 := hists[0].Snapshot()
+	if fig3.Count != 2 {
+		t.Errorf("fig3 latency count = %d, want 2", fig3.Count)
 	}
-	if sum.Analyses[0].P95Ns < sum.Analyses[0].P50Ns {
-		t.Errorf("p95 %d < p50 %d", sum.Analyses[0].P95Ns, sum.Analyses[0].P50Ns)
+	if p50, p95 := fig3.QuantileNs(0.50), fig3.QuantileNs(0.95); p95 < p50 {
+		t.Errorf("p95 %d < p50 %d", p95, p50)
 	}
 	if c.requests.Load() != 3 || c.notModified.Load() != 1 || c.clientErrs.Load() != 1 {
 		t.Errorf("counters = %d/%d/%d, want 3/1/1",
@@ -139,9 +139,11 @@ func TestCollectorConcurrent(t *testing.T) {
 	if got := c.requests.Load(); got != 1600 {
 		t.Errorf("requests = %d, want 1600", got)
 	}
-	sum := c.Summarize()
-	if sum.Analyses[0].Count != 1600 {
-		t.Errorf("latency count = %d, want 1600", sum.Analyses[0].Count)
+	if got := c.analysisHist("fig3").Snapshot().Count; got != 1600 {
+		t.Errorf("latency count = %d, want 1600", got)
+	}
+	if got := c.stages[StageCompute].Snapshot().Count; got != 1600 {
+		t.Errorf("compute count = %d, want 1600", got)
 	}
 }
 

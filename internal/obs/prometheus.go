@@ -39,9 +39,8 @@ type ServerGauges struct {
 	// Pool state-plane counters: requests that found a resident engine
 	// (hits) vs. ones that inserted a fresh entry (misses), single-flight
 	// joiners that waited on another request's build, and evictions split
-	// by reason. PoolEvictions above remains the LRU-only count /v1/stats
-	// has always reported; the labeled exposition below adds the failure
-	// drops.
+	// by reason. PoolEvictions above is the LRU-only count, exposed as
+	// reason="lru"; these two are the failure drops.
 	PoolHits                  int64
 	PoolMisses                int64
 	PoolJoins                 int64

@@ -7,28 +7,27 @@ import (
 )
 
 // RuntimeStats is one point-in-time reading of the Go runtime, the
-// source of the specserve_runtime_* exposition section and the
-// /v1/stats runtime block.
+// source of the specserve_runtime_* exposition section.
 type RuntimeStats struct {
 	// Goroutines is the live goroutine count.
-	Goroutines int `json:"goroutines"`
+	Goroutines int
 	// HeapInuseBytes is the heap memory in active spans.
-	HeapInuseBytes uint64 `json:"heap_inuse_bytes"`
+	HeapInuseBytes uint64
 	// HeapAllocBytes is the live heap allocation.
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
+	HeapAllocBytes uint64
 	// GCCycles is the completed GC cycle count.
-	GCCycles uint32 `json:"gc_cycles"`
+	GCCycles uint32
 	// GCPauses aggregates stop-the-world pause durations over the
 	// sampler's lifetime.
-	GCPauses HistogramSnapshot `json:"gc_pauses"`
+	GCPauses HistogramSnapshot
 }
 
 // RuntimeSampler reads runtime memory statistics and accumulates the
 // GC pause history into a histogram. runtime.MemStats only retains the
 // last 256 pauses in a circular buffer, so the sampler folds in the
 // pauses that are new since its previous read — sampled at least once
-// per 256 GC cycles (every /metrics or /v1/stats hit easily clears
-// that), the histogram covers every pause of the process lifetime.
+// per 256 GC cycles (every /metrics scrape easily clears that), the
+// histogram covers every pause of the process lifetime.
 // Safe for concurrent use.
 type RuntimeSampler struct {
 	mu      sync.Mutex

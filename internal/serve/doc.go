@@ -8,7 +8,6 @@
 //	GET /v1/analyses               the registry listing: {name, description, params}
 //	GET /v1/analyses/{name}        one analysis result as {name, description, filter, params, value}
 //	GET /v1/report                 the full text report
-//	GET /v1/stats                  serving metrics (JSON; stage and per-analysis latency breakdowns)
 //	GET /v1/pool                   engine-pool introspection (resident scopes, cache counters)
 //	GET /v1/traces                 recent request traces (?n= count, ?min_ms= slow filter)
 //	GET /debug/pprof/              runtime profiles (Config.Pprof, loopback clients only)
@@ -79,10 +78,11 @@
 // Config.Logf line, the evlog event and the optional trace from the
 // record. Ingest and compute count once per actual event, so
 // single-flight sharing cannot inflate them. The
-// aggregates surface twice from one source: /v1/stats as JSON (stage
-// and per-analysis percentile summaries) and /metrics as Prometheus
-// text exposition (cumulative histograms and counters, plus a
-// specserve_runtime_* section sampled at scrape time).
+// aggregates surface once: /metrics as Prometheus text exposition
+// (cumulative histograms and counters, plus a specserve_runtime_*
+// section sampled at scrape time). Percentiles are read from the
+// buckets by the client (spectop, or histogram_quantile). /v1/pool adds
+// only the per-scope state a flat series page cannot express.
 //
 // A 200 body is rendered once per memoized value: the encoded
 // analysis response and its digest are stored on the engine's memo
@@ -114,7 +114,7 @@
 // age in requests, hit counts, memo occupancy, and approximate bytes,
 // sorted by filter and byte-identical across reads on a quiesced
 // server — the snapshot never touches the LRU order or any counter it
-// reports. cmd/spectop renders all three surfaces as a live dashboard.
+// reports. cmd/spectop renders both surfaces as a live dashboard.
 //
 // # Tracing
 //
@@ -138,8 +138,8 @@
 // response, whose bytes derive from a corpus state — appends one record
 // to an obs.AuditLog: timestamp, scope fingerprint, analysis name,
 // canonical params, and a digest of the exact served bytes, each record
-// hash-chained to its predecessor. Listings, health, stats, errors, and
-// 304s are never audited. The append is a channel send; a batching
+// hash-chained to its predecessor. Listings, health, metrics, pool
+// views, errors, and 304s are never audited. The append is a channel send; a batching
 // writer goroutine does the file I/O off the request path. The caller
 // owns the log's lifecycle and closes it after the server drains.
 //

@@ -109,7 +109,7 @@ func TestEventSequenceColdWarmEvict(t *testing.T) {
 	}
 
 	// The counters agree with the log.
-	st := s.Stats()
+	st := s.gauges()
 	if st.PoolEvictions != 1 || st.EngineBuilds != 2 {
 		t.Errorf("evictions=%d builds=%d, want 1, 2", st.PoolEvictions, st.EngineBuilds)
 	}

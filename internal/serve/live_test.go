@@ -54,8 +54,8 @@ func funnelRaw(t testing.TB, body []byte) int {
 
 // TestLiveAppendRollover walks the satellite scenario end to end: warm
 // 304 before the append, POST /v1/runs, 200 with a rolled ETag after,
-// and the generation/append counters surfacing in /v1/stats, /v1/pool,
-// and /metrics.
+// and the generation/append counters surfacing in /v1/pool and
+// /metrics.
 func TestLiveAppendRollover(t *testing.T) {
 	runs := testRuns(t)
 	base, extra := runs[:len(runs)-1], runs[len(runs)-1]
@@ -102,15 +102,11 @@ func TestLiveAppendRollover(t *testing.T) {
 		t.Errorf("post-append funnel.Raw = %d, want %d", got, len(base)+1)
 	}
 
-	var stats StatsSnapshot
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Live == nil {
-		t.Fatal("/v1/stats has no live section on a live server")
-	}
-	if stats.Live.Generation != 1 || stats.Live.Appends != 1 || stats.Live.AppendedRuns != 1 {
-		t.Errorf("live stats = %+v, want generation/appends/appended_runs all 1", *stats.Live)
+	mx := scrape(t, s)
+	for _, series := range []string{"specserve_generation", "specserve_appends_total", "specserve_appended_runs_total"} {
+		if got, ok := mx[series]; !ok || got != 1 {
+			t.Errorf("%s = %v (present %v), want 1", series, got, ok)
+		}
 	}
 	var pool PoolSnapshot
 	if err := json.Unmarshal(get(t, s, "/v1/pool").Body.Bytes(), &pool); err != nil {
@@ -156,15 +152,9 @@ func TestLiveDisabled(t *testing.T) {
 	if s.Generation() != 0 {
 		t.Errorf("static Generation = %d", s.Generation())
 	}
-	var stats StatsSnapshot
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Live != nil {
-		t.Errorf("static /v1/stats grew a live section: %+v", *stats.Live)
-	}
-	if m := get(t, s, "/metrics").Body.String(); strings.Contains(m, "specserve_generation") {
-		t.Error("static /metrics exposes specserve_generation")
+	if m := get(t, s, "/metrics").Body.String(); strings.Contains(m, "specserve_generation") ||
+		strings.Contains(m, "specserve_appends_total") || strings.Contains(m, "specserve_appended_runs_total") {
+		t.Error("static /metrics exposes the live counters")
 	}
 }
 

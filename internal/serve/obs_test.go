@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,9 +18,45 @@ import (
 	"repro/internal/synth"
 )
 
+// scrape renders the exposition in-process and parses it into series
+// → value. It is not a request, so unlike GET /metrics it moves no
+// counter.
+func scrape(t testing.TB, s *Server) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	s.metrics.WritePrometheus(&buf, s.gauges())
+	return parseExposition(t, buf.String())
+}
+
+// parseExposition parses a text exposition into series → value, keys
+// verbatim with their label sets, failing on any line that is neither
+// a comment nor a series and a value.
+func parseExposition(t testing.TB, page string) map[string]float64 {
+	t.Helper()
+	m := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(page, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		m[line[:i]] = v
+	}
+	return m
+}
+
+// stageCount is the number of observations in one stage histogram.
+func stageCount(t testing.TB, s *Server, stage string) int64 {
+	t.Helper()
+	return int64(scrape(t, s)[`specserve_stage_duration_seconds_count{stage="`+stage+`"}`])
+}
+
 // TestMetricsEndpoint: /metrics serves the Prometheus text exposition —
-// the counters /v1/stats reports plus per-stage and per-analysis
-// histograms — after cold, warm, and 304 traffic has populated them.
+// the serving counters plus per-stage and per-analysis histograms —
+// after cold, warm, and 304 traffic has populated them.
 func TestMetricsEndpoint(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	first := get(t, s, "/v1/analyses/funnel") // cold: build + ingest + compute
@@ -39,22 +77,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	body := rec.Body.String()
-	// Counters carry the values the traffic above produced. The /metrics
-	// request itself is still in flight (same self-count rule as
-	// /v1/stats), so requests_total reads 4.
+	// Counters carry the values the traffic above produced. Self-count
+	// rule: the /metrics request itself is still in flight while its
+	// page is rendered, so requests_total reads 4, not 5.
 	for _, want := range []string{
 		"# TYPE specserve_requests_total counter",
-		"specserve_requests_total 4",
-		"specserve_not_modified_total 1",
-		"specserve_client_errors_total 1",
-		"specserve_engine_builds_total 1",
-		"specserve_ingests_total 1",
-		"specserve_computes_total 1",
-		"specserve_pool_engines 1",
+		"specserve_requests_total 4\n",
+		"specserve_not_modified_total 1\n",
+		"specserve_client_errors_total 1\n",
+		"specserve_engine_builds_total 1\n",
+		"specserve_ingests_total 1\n",
+		"specserve_computes_total 1\n",
+		"specserve_pool_engines 1\n",
 		"# TYPE specserve_stage_duration_seconds histogram",
 		`specserve_stage_duration_seconds_bucket{stage="queue_wait",le="+Inf"}`,
-		`specserve_stage_duration_seconds_bucket{stage="compute",le="+Inf"} 1`,
-		`specserve_stage_duration_seconds_count{stage="engine_build"} 1`,
+		`specserve_stage_duration_seconds_bucket{stage="compute",le="+Inf"} 1` + "\n",
+		`specserve_stage_duration_seconds_count{stage="engine_build"} 1` + "\n",
 		"# TYPE specserve_request_duration_seconds histogram",
 		`specserve_request_duration_seconds_bucket{analysis="funnel",le="+Inf"}`,
 		`specserve_request_duration_seconds_count{analysis="funnel"}`,
@@ -68,65 +106,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	if strings.Contains(body, "specserve_audit_records_total") {
 		t.Error("audit metric exposed without an audit log")
 	}
+
+	// The next page counts the previous /metrics request, not itself.
+	if got := parseExposition(t, get(t, s, "/metrics").Body.String())["specserve_requests_total"]; got != 5 {
+		t.Errorf("back-to-back requests_total = %v, want 5", got)
+	}
 }
 
-// TestStatsObservability: the enriched /v1/stats carries a parseable
-// start time, positive uptime, and the stage/analysis latency
-// breakdowns — while the pre-existing counters keep their semantics.
+// TestStatsObservability: after one cold request the exposition carries
+// a non-negative uptime and the stage/analysis latency breakdowns, and
+// no audit series without an audit log.
 func TestStatsObservability(t *testing.T) {
 	s, _ := testServer(t, Config{})
-	get(t, s, "/v1/analyses/funnel")
-	rec := get(t, s, "/v1/stats")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	if rec := get(t, s, "/v1/analyses/funnel"); rec.Code != http.StatusOK {
+		t.Fatalf("cold status = %d", rec.Code)
 	}
-	var st StatsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	started, err := time.Parse(time.RFC3339Nano, st.StartedAt)
-	if err != nil {
-		t.Fatalf("started_at %q: %v", st.StartedAt, err)
-	}
-	if time.Since(started) < 0 || st.UptimeSeconds < 0 {
-		t.Errorf("started_at %v in the future / uptime %v negative", started, st.UptimeSeconds)
-	}
-	stages := map[string]obs.StageSummary{}
-	for _, sg := range st.Stages {
-		stages[sg.Stage] = sg
+	mx := scrape(t, s)
+	if up := mx["specserve_uptime_seconds"]; up < 0 {
+		t.Errorf("uptime %v negative", up)
 	}
 	// One completed request: queue_wait and serialize observed once per
 	// request; engine_build, ingest, and compute once per actual event.
-	for _, stage := range []string{
-		obs.StageQueueWait, obs.StageEngineBuild, obs.StageIngest,
-		obs.StageCompute, obs.StageSerialize,
-	} {
-		sg, ok := stages[stage]
-		if !ok {
-			t.Errorf("stats missing stage %q", stage)
-			continue
+	for _, stage := range obs.Stages {
+		series := `specserve_stage_duration_seconds_count{stage="` + stage + `"}`
+		if got, ok := mx[series]; !ok || got != 1 {
+			t.Errorf("stage %q count = %v (present %v), want 1", stage, got, ok)
 		}
-		if sg.Count != 1 {
-			t.Errorf("stage %q count = %d, want 1", stage, sg.Count)
-		}
-		if sg.P50Ns < 0 || sg.SumNs < 0 {
-			t.Errorf("stage %q has negative durations: %+v", stage, sg)
+		if sum := mx[`specserve_stage_duration_seconds_sum{stage="`+stage+`"}`]; sum < 0 {
+			t.Errorf("stage %q has a negative duration sum %v", stage, sum)
 		}
 	}
-	var funnel *obs.AnalysisSummary
-	for i := range st.AnalysisLatency {
-		if st.AnalysisLatency[i].Analysis == "funnel" {
-			funnel = &st.AnalysisLatency[i]
-		}
+	if got := mx[`specserve_request_duration_seconds_count{analysis="funnel"}`]; got != 1 {
+		t.Errorf("funnel latency count = %v, want 1", got)
 	}
-	if funnel == nil {
-		t.Fatalf("analysis_latency missing funnel: %+v", st.AnalysisLatency)
+	if sum := mx[`specserve_request_duration_seconds_sum{analysis="funnel"}`]; sum <= 0 {
+		t.Errorf("funnel latency sum = %v, want > 0", sum)
 	}
-	if funnel.Count != 1 || funnel.SumNs <= 0 {
-		t.Errorf("funnel latency = %+v", funnel)
-	}
-	if st.Audit != nil {
-		t.Errorf("audit stats present without an audit log: %+v", st.Audit)
+	if _, ok := mx["specserve_audit_records_total"]; ok {
+		t.Error("audit series present without an audit log")
 	}
 }
 
@@ -147,7 +164,7 @@ func auditServer(t *testing.T, cfg Config) (*Server, *obs.AuditLog, string) {
 // TestAuditIntegration is the audit acceptance test: attributable 200s
 // (analyses, the report) chain records carrying the scope fingerprint,
 // canonical params, and a digest of the exact served bytes; nothing
-// else — listings, health, stats, 304s, errors — is ever appended; and
+// else — listings, health, pool, metrics, 304s, errors — is ever appended; and
 // the resulting file verifies as an unbroken chain until a byte is
 // flipped.
 func TestAuditIntegration(t *testing.T) {
@@ -185,21 +202,12 @@ func TestAuditIntegration(t *testing.T) {
 	// append a record.
 	get(t, s, "/healthz")
 	get(t, s, "/v1/analyses")
-	get(t, s, "/v1/stats")
-	get(t, s, "/metrics")
+	get(t, s, "/v1/pool")
 	if rec := get(t, s, "/v1/analyses/funnel", "If-None-Match", funnel.Header().Get("ETag")); rec.Code != http.StatusNotModified {
 		t.Fatalf("revalidation status = %d", rec.Code)
 	}
 
-	// /v1/stats reports the audit surface while the log is open.
-	var st StatsSnapshot
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Audit == nil || st.Audit.Path != path {
-		t.Errorf("stats audit = %+v, want path %q", st.Audit, path)
-	}
-	// And /metrics exposes the chain length once auditing is on.
+	// /metrics exposes the chain length once auditing is on.
 	if body := get(t, s, "/metrics").Body.String(); !strings.Contains(body, "specserve_audit_records_total") {
 		t.Error("exposition missing specserve_audit_records_total with auditing on")
 	}
@@ -325,7 +333,7 @@ func TestErrorsCountedNotAudited(t *testing.T) {
 		t.Fatalf("parked probe finished with %d", code)
 	}
 
-	st := s.Stats()
+	st := s.gauges()
 	if st.ClientErrors != 2 {
 		t.Errorf("client_errors = %d, want 2", st.ClientErrors)
 	}

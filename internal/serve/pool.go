@@ -104,7 +104,7 @@ type enginePool struct {
 	root *poolEntry
 
 	builds    atomic.Int64
-	evictions atomic.Int64 // LRU evictions only, the /v1/stats semantics
+	evictions atomic.Int64 // LRU evictions only; failure drops are counted apart
 
 	appends      atomic.Int64 // absorbed appends (POST bodies + watcher deltas)
 	appendedRuns atomic.Int64 // runs those appends carried

@@ -59,7 +59,7 @@ func TestEmptyFilterSharesUnfilteredScope(t *testing.T) {
 			t.Errorf("spelling %d: ETag %q differs from unfiltered %q", i, etag, etags[0])
 		}
 	}
-	st := s.Stats()
+	st := s.gauges()
 	if st.EngineBuilds != 1 || st.PoolEngines != 1 {
 		t.Errorf("builds/engines = %d/%d, want 1/1 (empty filter keyed a duplicate scope)",
 			st.EngineBuilds, st.PoolEngines)

@@ -40,16 +40,6 @@ func reportRuns(t testing.TB) []*model.Run {
 	return runs
 }
 
-// stageCount is the number of observations in one stage histogram.
-func stageCount(s *Server, stage string) int64 {
-	for _, sg := range s.Stats().Stages {
-		if sg.Stage == stage {
-			return int64(sg.Count)
-		}
-	}
-	return 0
-}
-
 // TestStoredBodyTraced: a request served from stored bytes still has a
 // serialize stage (render for the report), marked cached=true and
 // taking no time; the request that rendered carries no such mark.
@@ -151,7 +141,7 @@ func TestAppendRollsStoredBytes(t *testing.T) {
 		}
 		before[path], etags[path] = rec.Body, rec.Header().Get("ETag")
 	}
-	renders := stageCount(s, obs.StageSerialize)
+	renders := stageCount(t, s, obs.StageSerialize)
 
 	if rec := postRun(t, s, resultFileBytes(t, extra)); rec.Code != http.StatusOK {
 		t.Fatalf("POST /v1/runs = %d: %s", rec.Code, rec.Body)
@@ -180,7 +170,7 @@ func TestAppendRollsStoredBytes(t *testing.T) {
 			}
 		}
 	}
-	if got := stageCount(s, obs.StageSerialize) - renders; got != 1 {
+	if got := stageCount(t, s, obs.StageSerialize) - renders; got != 1 {
 		t.Errorf("%d renders after the append, want 1 (funnel only)", got)
 	}
 }

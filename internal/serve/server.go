@@ -56,7 +56,7 @@ type Config struct {
 	Events *evlog.Logger
 	// Audit, when non-nil, receives one hash-chained provenance record
 	// per attributable 200 — analysis and report responses, whose bytes
-	// derive from a corpus state. Listings, health, stats, errors, and
+	// derive from a corpus state. Listings, health, metrics, errors, and
 	// 304s (no bytes served) are never appended. The server does not
 	// own the log's lifecycle; the caller closes it after shutdown.
 	Audit *obs.AuditLog
@@ -74,8 +74,8 @@ type Config struct {
 	// Live enables the append plane: Base is wrapped in a
 	// core.AppendSource, POST /v1/runs accepts one result file per
 	// request, AppendRuns / AbsorbBaseGrowth / ResetPool become
-	// operational, and the generation + append counters join /metrics
-	// and /v1/stats. Off by default — a static corpus needs none of it.
+	// operational, and the generation + append counters join /metrics.
+	// Off by default — a static corpus needs none of it.
 	Live bool
 }
 
@@ -133,7 +133,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/analyses", s.handleList)
 	mux.HandleFunc("GET /v1/analyses/{name}", s.handleAnalysis)
 	mux.HandleFunc("GET /v1/report", s.handleReport)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/pool", s.handlePool)
 	if cfg.Live {
 		mux.HandleFunc("POST /v1/runs", s.handleAppendRun)
@@ -212,14 +211,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleMetrics serves the Prometheus text exposition: the same
-// counters /v1/stats reports, plus the per-stage and per-analysis
-// histograms in scrapeable form.
+// handleMetrics serves the Prometheus text exposition: the serving
+// counters and gauges, the per-stage and per-analysis histograms, and
+// the runtime section. Self-count rule: the page covers only requests
+// that finished before it was rendered, so the /metrics request that
+// carries it is not yet in specserve_requests_total.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	s.metrics.WritePrometheus(&buf, s.gauges())

@@ -262,7 +262,7 @@ func TestAnalysisParamScenarios(t *testing.T) {
 	if outs[0].etag == outs[1].etag {
 		t.Error("k=3 and k=5 share an ETag — 304s would serve the wrong partition")
 	}
-	if got := s.Stats().EngineBuilds; got != 1 {
+	if got := s.gauges().EngineBuilds; got != 1 {
 		t.Errorf("param scenarios built %d engines, want 1 shared scope engine", got)
 	}
 	if got := streams.Load(); got != 1 {
@@ -461,8 +461,8 @@ func TestETagRoundTrip(t *testing.T) {
 	if got := second.Header().Get("ETag"); got != etag {
 		t.Errorf("304 ETag = %q, want %q", got, etag)
 	}
-	if s.Stats().NotModified != 1 {
-		t.Errorf("not_modified = %d, want 1", s.Stats().NotModified)
+	if s.gauges().NotModified != 1 {
+		t.Errorf("not_modified = %d, want 1", s.gauges().NotModified)
 	}
 
 	// The validator is specific: a different analysis and a different
@@ -509,7 +509,7 @@ func TestSingleFlight(t *testing.T) {
 			t.Errorf("request %d: ETag %q differs from %q", i, etags[i], etags[0])
 		}
 	}
-	if got := s.Stats().EngineBuilds; got != 2 {
+	if got := s.gauges().EngineBuilds; got != 2 {
 		t.Errorf("engine_builds = %d, want 2 (single-flight scope + its root)", got)
 	}
 	if got := streams.Load(); got != 1 {
@@ -530,7 +530,7 @@ func TestWarmScopeServedFromMemo(t *testing.T) {
 	if streams.Load() != 1 {
 		t.Fatalf("cold request streamed %d times", streams.Load())
 	}
-	computes, renders := s.metrics.Computes(), stageCount(s, obs.StageSerialize)
+	computes, renders := s.metrics.Computes(), stageCount(t, s, obs.StageSerialize)
 	if computes != 1 || renders != 1 {
 		t.Fatalf("cold request: %d computes, %d renders, want 1 and 1", computes, renders)
 	}
@@ -550,13 +550,13 @@ func TestWarmScopeServedFromMemo(t *testing.T) {
 	if streams.Load() != 1 {
 		t.Errorf("warm requests re-streamed the corpus (%d streams)", streams.Load())
 	}
-	if got := s.Stats().EngineBuilds; got != 1 {
+	if got := s.gauges().EngineBuilds; got != 1 {
 		t.Errorf("warm requests rebuilt the engine (%d builds)", got)
 	}
 	if got := s.metrics.Computes() - computes; got != 0 {
 		t.Errorf("warm requests computed %d times, want 0", got)
 	}
-	if got := stageCount(s, obs.StageSerialize) - renders; got != 0 {
+	if got := stageCount(t, s, obs.StageSerialize) - renders; got != 0 {
 		t.Errorf("warm requests rendered %d times, want 0", got)
 	}
 }
@@ -577,7 +577,7 @@ func TestPoolEviction(t *testing.T) {
 	hit("vendor%3DAMD")   // pool: [amd]
 	hit("vendor%3DIntel") // pool: [intel amd]
 	hit("os%3DLinux")     // pool: [linux intel], amd evicted
-	st := s.Stats()
+	st := s.gauges()
 	if st.PoolEngines != 2 {
 		t.Errorf("pool_engines = %d, want 2", st.PoolEngines)
 	}
@@ -585,11 +585,11 @@ func TestPoolEviction(t *testing.T) {
 		t.Errorf("builds/evictions = %d/%d, want 4/1", st.EngineBuilds, st.PoolEvictions)
 	}
 	hit("os%3DLinux") // still resident: no rebuild
-	if got := s.Stats().EngineBuilds; got != 4 {
+	if got := s.gauges().EngineBuilds; got != 4 {
 		t.Errorf("resident scope rebuilt: builds = %d", got)
 	}
 	hit("vendor%3DAMD") // evicted: rebuilt from the same root, evicting intel
-	st = s.Stats()
+	st = s.gauges()
 	if st.EngineBuilds != 5 || st.PoolEvictions != 2 {
 		t.Errorf("after re-request: builds/evictions = %d/%d, want 5/2",
 			st.EngineBuilds, st.PoolEvictions)
@@ -610,7 +610,7 @@ func TestScopeCanonicalization(t *testing.T) {
 			t.Fatalf("spelling %q: status %d: %s", spelling, rec.Code, rec.Body)
 		}
 	}
-	if got := s.Stats().EngineBuilds; got != 2 {
+	if got := s.gauges().EngineBuilds; got != 2 {
 		t.Errorf("equal scopes built %d engines, want 2 (one scope + its root)", got)
 	}
 	if got := streams.Load(); got != 1 {
@@ -655,31 +655,33 @@ func TestReportEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint: the serving counters are read off /metrics, the
+// only metrics surface; the former JSON copy at /v1/stats is gone.
 func TestStatsEndpoint(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	get(t, s, "/healthz")
 	get(t, s, "/v1/analyses/funnel")
-	rec := get(t, s, "/v1/stats")
+	rec := get(t, s, "/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	var st StatsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
+	mx := parseExposition(t, rec.Body.String())
+	// The metrics request itself is not yet counted when the page is
+	// rendered, hence 2, not 3.
+	if got := mx["specserve_requests_total"]; got != 2 {
+		t.Errorf("requests = %v, want 2", got)
 	}
-	// The stats request itself is not yet counted when the snapshot is
-	// taken, hence 2, not 3.
-	if st.Requests != 2 {
-		t.Errorf("requests = %d, want 2", st.Requests)
+	if b, e := mx["specserve_engine_builds_total"], mx["specserve_pool_engines"]; b != 1 || e != 1 {
+		t.Errorf("builds/engines = %v/%v, want 1/1", b, e)
 	}
-	if st.EngineBuilds != 1 || st.PoolEngines != 1 {
-		t.Errorf("builds/engines = %d/%d, want 1/1", st.EngineBuilds, st.PoolEngines)
-	}
-	if st.Analyses < 16 {
-		t.Errorf("analyses = %d", st.Analyses)
+	if got := mx["specserve_registered_analyses"]; got < 16 {
+		t.Errorf("analyses = %v", got)
 	}
 	if cc := rec.Header().Get("Cache-Control"); cc != "no-store" {
-		t.Errorf("stats Cache-Control = %q", cc)
+		t.Errorf("metrics Cache-Control = %q", cc)
+	}
+	if rec := get(t, s, "/v1/stats"); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /v1/stats = %d, want 404", rec.Code)
 	}
 }
 
@@ -699,7 +701,7 @@ func TestPoolBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("missing corpus: status = %d, want 500", rec.Code)
 	}
 	// The failed build must not be pinned in the pool.
-	if got := s.Stats().PoolEngines; got != 0 {
+	if got := s.gauges().PoolEngines; got != 0 {
 		t.Errorf("failed scope stayed resident: pool_engines = %d", got)
 	}
 }
@@ -736,7 +738,7 @@ func TestIngestionFailureRetried(t *testing.T) {
 	if etag := first.Header().Get("ETag"); etag != "" {
 		t.Errorf("error response carries ETag %q — a later If-None-Match would 304 a broken resource", etag)
 	}
-	if got := s.Stats().PoolEngines; got != 0 {
+	if got := s.gauges().PoolEngines; got != 0 {
 		t.Errorf("broken scope stayed resident: pool_engines = %d", got)
 	}
 
@@ -804,7 +806,7 @@ func TestConcurrencyGate(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("gated request = %d, want 503", rec.Code)
 	}
-	if got := s.Stats().RejectedBusy; got != 1 {
+	if got := s.gauges().RejectedBusy; got != 1 {
 		t.Errorf("rejected_busy = %d, want 1", got)
 	}
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -267,26 +268,26 @@ func TestPprofGate(t *testing.T) {
 	}
 }
 
-// TestStatsAndMetricsSurfaceTracing: pool capacity and the trace ring
-// show up consistently in /v1/stats and /metrics.
-func TestStatsAndMetricsSurfaceTracing(t *testing.T) {
+// TestMetricsSurfaceTracing: pool capacity and the trace ring show up
+// in /metrics.
+func TestMetricsSurfaceTracing(t *testing.T) {
 	s, _ := testServer(t, Config{PoolSize: 5})
 	get(t, s, "/healthz")
-	var stats StatsSnapshot
-	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	mx := scrape(t, s)
+	if got := mx["specserve_pool_capacity"]; got != 5 {
+		t.Fatalf("pool capacity %v, want 5", got)
 	}
-	if stats.PoolCapacity != 5 {
-		t.Fatalf("pool capacity %d, want 5", stats.PoolCapacity)
+	if got := mx["specserve_trace_ring_capacity"]; got != DefaultTraceBuffer {
+		t.Fatalf("trace ring capacity %v, want %d", got, DefaultTraceBuffer)
 	}
-	if stats.Traces == nil || stats.Traces.Capacity != DefaultTraceBuffer || stats.Traces.Recorded < 1 {
-		t.Fatalf("trace stats %+v", stats.Traces)
+	if got := mx["specserve_traces_recorded_total"]; got < 1 {
+		t.Fatalf("traces recorded %v, want at least 1", got)
 	}
+	// The runtime section is rendered by the handler, not by scrape.
 	page := get(t, s, "/metrics").Body.String()
 	for _, want := range []string{
-		"specserve_pool_capacity 5",
-		"specserve_trace_ring_capacity " + fmt.Sprint(DefaultTraceBuffer),
-		"specserve_traces_recorded_total",
+		"specserve_pool_capacity 5\n",
+		"specserve_trace_ring_capacity " + fmt.Sprint(DefaultTraceBuffer) + "\n",
 		"specserve_runtime_goroutines",
 		"specserve_runtime_heap_inuse_bytes",
 		"specserve_runtime_gc_pause_seconds_count",
@@ -375,19 +376,17 @@ func TestTraceStagesMatchHistograms(t *testing.T) {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
 	}
 	// Read the histograms before /v1/traces adds a request of its own.
-	sums := map[string]obs.StageSummary{}
-	for _, sg := range s.Stats().Stages {
-		sums[sg.Stage] = sg
-	}
+	mx := scrape(t, s)
 	tr := getTraces(t, s, "/v1/traces").Traces[0]
 	for _, stage := range []string{obs.StageQueueWait, obs.StageSerialize, obs.StageCompute} {
 		sp, ok := findSpan(tr.Root, stage)
 		if !ok {
 			t.Fatalf("trace lacks %q span", stage)
 		}
-		sg := sums[stage]
-		if sg.Count != 1 || sg.SumNs != sp.DurationNs {
-			t.Errorf("%s: histogram count=%d sum=%dns, span %dns", stage, sg.Count, sg.SumNs, sp.DurationNs)
+		count := mx[`specserve_stage_duration_seconds_count{stage="`+stage+`"}`]
+		sumNs := int64(math.Round(1e9 * mx[`specserve_stage_duration_seconds_sum{stage="`+stage+`"}`]))
+		if count != 1 || sumNs != sp.DurationNs {
+			t.Errorf("%s: histogram count=%v sum=%dns, span %dns", stage, count, sumNs, sp.DurationNs)
 		}
 	}
 }
