@@ -31,10 +31,9 @@
 //
 // Every request is traced by default: the server keeps the most recent
 // completed span trees in a bounded in-memory ring (-trace-buf, 0
-// disables) served by GET /v1/traces, echoes a W3C Traceparent response
-// header (adopting an inbound one), and with -trace-slow D logs one
-// line per request slower than D carrying its trace id. -pprof
-// additionally mounts net/http/pprof for loopback clients.
+// disables) served by GET /v1/traces (?min_ms= finds the slow ones) and
+// echoes a W3C Traceparent response header (adopting an inbound one).
+// -pprof additionally mounts net/http/pprof for loopback clients.
 //
 // With -live, the corpus becomes appendable while serving: POST
 // /v1/runs takes one result-file body, folds the parsed run into every
@@ -54,16 +53,18 @@
 //	specserve [-addr :8080] [-in corpus/]... [-cache] [-workers 8]
 //	          [-filter expr] [-pool 32] [-max-inflight 64] [-warm]
 //	          [-live] [-watch] [-watch-interval 2s]
-//	          [-audit audit.log] [-trace-buf 256] [-trace-slow 500ms]
-//	          [-pprof] [-log-format text|logfmt|json]
+//	          [-audit audit.log] [-trace-buf 256]
+//	          [-pprof] [-log-format logfmt|json]
 //
-// -log-format selects the log encoding: text (default) preserves the
-// historical one-line request log byte-for-byte; logfmt and json emit
-// one structured event per line to stderr — every request event carries
-// its trace_id, status_class, and etag_revalidated, and the state-plane
-// machinery (engine pool, audit batcher) logs its lifecycle (pool_build
-// with single-flight join counts, pool_evict with reasons, audit_flush)
-// through the same stream. Watch it live with `spectop`.
+// specserve writes one log: one structured event per line to stderr,
+// logfmt by default or JSON with -log-format json. Every request event
+// carries its trace_id, status_class, and etag_revalidated; the engine
+// pool and audit batcher log their lifecycle (pool_build with
+// single-flight join counts, pool_evict with reasons, audit_flush); the
+// process logs audit_open, warm, serve, drain and audit_close; and the
+// watcher logs watch_start, watch_absorb, watch_reset and watch_error.
+// Only errors that end the process are plain text. Watch the counters
+// live with `spectop`.
 //
 // The server drains in-flight requests and exits cleanly on SIGINT or
 // SIGTERM; the audit log is flushed and closed as part of the drain.
@@ -102,30 +103,16 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll cadence for -watch")
 	auditPath := flag.String("audit", "", "append hash-chained audit records to this file (verify with specaudit)")
 	traceBuf := flag.Int("trace-buf", serve.DefaultTraceBuffer, "completed request traces kept for /v1/traces (0 disables tracing)")
-	traceSlow := flag.Duration("trace-slow", 0, "log requests slower than this duration with their trace id (0 disables)")
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof for loopback clients")
-	logFormat := flag.String("log-format", "text",
-		"request/event log format: text (legacy one-line), logfmt, or json")
+	logFormat := flag.String("log-format", "logfmt", "event log encoding: logfmt or json")
 	corpus := cliutil.RegisterCorpusFlags(flag.CommandLine)
 	flag.Parse()
 
-	// "text" keeps the historical one-line request log byte-for-byte;
-	// logfmt/json switch to the structured event log (trace_id on every
-	// request line, state-plane pool/cache/audit events).
-	var (
-		logf   func(format string, args ...any)
-		events *evlog.Logger
-	)
-	switch *logFormat {
-	case "text":
-		logf = log.Printf
-	default:
-		enc, err := evlog.ParseEncoding(*logFormat)
-		if err != nil {
-			log.Fatalf("-log-format: %v", err)
-		}
-		events = evlog.New(os.Stderr, evlog.Options{Encoding: enc})
+	enc, err := evlog.ParseEncoding(*logFormat)
+	if err != nil {
+		log.Fatalf("-log-format: %v", err)
 	}
+	events := evlog.New(os.Stderr, evlog.Options{Encoding: enc})
 
 	src, err := corpus.Source()
 	if err != nil {
@@ -144,7 +131,7 @@ func main() {
 			// file for forensics and point -audit somewhere fresh.
 			log.Fatal(err)
 		}
-		log.Printf("auditing to %s (%d existing records)", *auditPath, audit.Records())
+		events.Info("audit_open", evlog.String("path", *auditPath), evlog.Int64("records", audit.Records()))
 	}
 	// The flag's 0-disables convention is friendlier than the Config's
 	// negative sentinel (0 keeps the zero-valued Config meaning "default
@@ -159,15 +146,13 @@ func main() {
 		Workers:         corpus.Workers,
 		PoolSize:        *pool,
 		MaxInFlight:     *inflight,
-		Logf:            logf,
 		Audit:           audit,
 		Events:          events,
 		TraceBufferSize: bufSize,
-		SlowTrace:       *traceSlow,
 		Pprof:           *pprofOn,
 	})
 	if *warm {
-		log.Printf("warming corpus %s", src.Name())
+		events.Info("warm", evlog.String("source", src.Name()))
 		if err := srv.Warm(); err != nil {
 			log.Fatal(err)
 		}
@@ -199,18 +184,18 @@ func main() {
 				if len(d.Modified) > 0 || len(d.Removed) > 0 {
 					dropped, err := srv.ResetPool("watch_rewrite")
 					if err != nil {
-						log.Printf("watch: reset: %v", err)
+						events.Error("watch_error", evlog.String("err", "reset: "+err.Error()))
 						return
 					}
-					log.Printf("watch: corpus rewritten (%d modified, %d removed); pool reset, %d engines dropped",
-						len(d.Modified), len(d.Removed), dropped)
+					events.Info("watch_reset", evlog.Int("modified", len(d.Modified)),
+						evlog.Int("removed", len(d.Removed)), evlog.Int("dropped", dropped))
 					return
 				}
 				runs := make([]*model.Run, 0, len(d.Added))
 				for _, path := range d.Added { // sorted: absorption order is deterministic
 					run, err := core.ParseResultFile(path)
 					if err != nil {
-						log.Printf("watch: %v", err)
+						events.Warn("watch_error", evlog.String("err", err.Error()))
 						continue
 					}
 					runs = append(runs, run)
@@ -220,20 +205,21 @@ func main() {
 				}
 				gen, err := srv.AbsorbBaseGrowth(runs...)
 				if err != nil {
-					log.Printf("watch: absorb: %v", err)
+					events.Error("watch_error", evlog.String("err", "absorb: "+err.Error()))
 					return
 				}
-				log.Printf("watch: absorbed %d new result file(s), generation %d", len(runs), gen)
+				events.Info("watch_absorb", evlog.Int("files", len(runs)), evlog.Int64("generation", int64(gen)))
 			},
-			OnError: func(err error) { log.Printf("watch: %v", err) },
+			OnError: func(err error) { events.Warn("watch_error", evlog.String("err", err.Error())) },
 		}
 		go runner.Run(ctx)
-		log.Printf("watching %s every %s", strings.Join(watchDirs, ", "), *watchInterval)
+		events.Info("watch_start", evlog.String("dirs", strings.Join(watchDirs, ",")),
+			evlog.Dur("every", *watchInterval))
 	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("serving %s on %s", src.Name(), *addr)
+	events.Info("serve", evlog.String("source", src.Name()), evlog.String("addr", *addr))
 
 	select {
 	case err := <-errc:
@@ -242,7 +228,7 @@ func main() {
 		log.Fatal(err)
 	case <-ctx.Done():
 		stop() // a second signal kills immediately
-		log.Printf("signal received, draining")
+		events.Info("drain")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(shutCtx); err != nil {
@@ -257,7 +243,7 @@ func main() {
 			if err := audit.Close(); err != nil {
 				log.Fatalf("audit: %v", err)
 			}
-			log.Printf("audit log closed: %d records", audit.Records())
+			events.Info("audit_close", evlog.Int64("records", audit.Records()))
 		}
 	}
 }

@@ -8,8 +8,8 @@
 //
 // The serving layer keeps one record per request and, when the
 // request ends, derives a RequestMetrics from it (queue wait,
-// serialization, total, status) together with the log line, the evlog
-// event and the optional trace, so the views cannot disagree. Engine
+// serialization, total, status) together with the evlog request event
+// and the optional trace, so the views cannot disagree. Engine
 // build, ingestion and compute arrive once per actual event
 // (ObserveBuild, ObserveIngest, ObserveCompute). The Collector folds
 // both into fixed-bucket histograms (per stage, and per analysis for
@@ -42,8 +42,9 @@
 //
 // # Event log
 //
-// The obs/evlog subpackage is the structured event stream the serving
-// layer logs through: leveled, logfmt- or JSON-encoded events with
+// The obs/evlog subpackage is specserve's only log, the structured
+// event stream the serving layer, the audit log and the process log
+// through: leveled, logfmt- or JSON-encoded events with
 // ordered key/value attributes and a trace_id field correlating each
 // event with /v1/traces. A nil *evlog.Logger is a no-op, so state
 // holders instrument unconditionally and the caller decides at wiring

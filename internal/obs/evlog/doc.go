@@ -1,20 +1,15 @@
-// Package evlog is a small structured, leveled event logger — the
-// state-plane log behind specserve. Where the request log answers "what
-// did clients ask", evlog answers "what did the stateful machinery do":
-// pool builds and evictions, cache hits and invalidations, audit
-// batcher flushes, each as one line of timestamp + level + event name +
-// ordered key/value attributes.
+// Package evlog is a small structured, leveled event logger — the one
+// log specserve writes. Every line is one event: timestamp + level +
+// event name + ordered key/value attributes. Requests, pool builds and
+// evictions, audit batcher flushes, watcher absorbs and resets, and the
+// process lifecycle (serve, drain) all share the stream, so a grep for
+// event= or a JSON decoder reads all of it.
 //
 // Two encodings share one call site: Logfmt (key=value, quoted only
 // when needed — grep-friendly) and JSON (one object per line, keys in
 // emission order — machine-friendly). Events carry a trace_id attribute
-// when the triggering request was traced, correlating state-plane lines
-// with /v1/traces span trees and audit records.
-//
-// High-rate events (per-request pool hits, say) can be sampled with a
-// per-event token bucket (Logger.Sample): burst events pass, excess is
-// dropped and counted, and the next emitted event carries dropped=N so
-// the log never silently under-reports. Aggregate truth stays in
+// when the triggering request was traced, correlating log lines with
+// /v1/traces span trees and audit records. Aggregate truth stays in
 // /metrics; the event log is for sequence and attribution.
 //
 // A nil *Logger is a no-op receiver for every method, so the serving

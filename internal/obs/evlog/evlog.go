@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -64,8 +63,7 @@ func Bool(key string, v bool) Attr {
 }
 
 // Dur returns a duration-valued attribute, rendered as Go duration
-// syntax rounded to microseconds ("1.234ms") — the same rounding the
-// request log has always used.
+// syntax rounded to microseconds ("1.234ms").
 func Dur(key string, d time.Duration) Attr {
 	return Attr{Key: key, Value: d.Round(time.Microsecond).String()}
 }
@@ -83,9 +81,8 @@ const (
 	JSON
 )
 
-// ParseEncoding maps the -log-format spellings to an Encoding.
-// "text" is deliberately not an Encoding: it selects the legacy
-// unstructured request line and never reaches this package.
+// ParseEncoding maps the -log-format spellings to an Encoding; any
+// other spelling, "text" included, is an error.
 func ParseEncoding(s string) (Encoding, error) {
 	switch s {
 	case "logfmt":
@@ -112,8 +109,9 @@ type Options struct {
 
 // Logger is a structured, leveled event logger. Each event is one line:
 // a timestamp, a level, an event name, and ordered key/value attributes
-// — the lifecycle log behind specserve's pool, caches, and audit
-// batcher, with trace_id attrs correlating lines to /v1/traces.
+// — specserve's one log: requests, pool, audit batcher, watcher and
+// process lifecycle, with trace_id attrs correlating lines to
+// /v1/traces.
 //
 // A nil *Logger is a valid no-op receiver for every method, so call
 // sites thread one pointer through unconditionally instead of branching
@@ -122,12 +120,12 @@ type Options struct {
 // All methods are safe for concurrent use; lines are written atomically
 // (one Write per event) under an internal lock.
 type Logger struct {
-	mu      sync.Mutex
-	w       io.Writer
-	enc     Encoding
-	min     Level
-	now     func() time.Time
-	buckets map[string]*tokenBucket
+	mu  sync.Mutex
+	w   io.Writer
+	enc Encoding
+	min Level
+	now func() time.Time
+	buf []byte // line buffer reused under mu
 }
 
 // New returns a Logger writing to w.
@@ -135,43 +133,7 @@ func New(w io.Writer, opts Options) *Logger {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	return &Logger{
-		w:       w,
-		enc:     opts.Encoding,
-		min:     opts.MinLevel,
-		now:     opts.Now,
-		buckets: map[string]*tokenBucket{},
-	}
-}
-
-// tokenBucket rate-limits one event name: burst tokens, refilled at
-// rate per second. Events emitted without a token are counted, and the
-// count is attached (dropped=N) to the next event that gets one, so a
-// sampled log still accounts for every occurrence.
-type tokenBucket struct {
-	tokens  float64
-	burst   float64
-	rate    float64 // tokens per second
-	last    time.Time
-	dropped int64
-}
-
-// Sample installs token-bucket sampling for one event name: up to
-// burst events pass immediately, refilled at perSec per second; excess
-// events are dropped and counted, and the next emitted event of that
-// name carries a dropped=N attribute covering the gap. Use for
-// high-rate events (per-request cache hits) whose aggregate lives in
-// /metrics anyway. Returns the logger for chaining. No-op on nil.
-func (l *Logger) Sample(event string, burst int, perSec float64) *Logger {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	l.buckets[event] = &tokenBucket{
-		tokens: float64(burst), burst: float64(burst), rate: perSec,
-	}
-	l.mu.Unlock()
-	return l
+	return &Logger{w: w, enc: opts.Encoding, min: opts.MinLevel, now: opts.Now}
 }
 
 // Log emits one event at the given level. Attrs render in argument
@@ -182,34 +144,8 @@ func (l *Logger) Log(level Level, event string, attrs ...Attr) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
-	var dropped int64
-	if b := l.buckets[event]; b != nil {
-		if !b.take(now) {
-			b.dropped++
-			return
-		}
-		dropped, b.dropped = b.dropped, 0
-	}
-	line := l.encode(now, level, event, attrs, dropped)
-	_, _ = l.w.Write(line)
-}
-
-// take refills and consumes one token; false means the event is
-// sampled out.
-func (b *tokenBucket) take(now time.Time) bool {
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	l.buf = l.encode(l.buf[:0], l.now(), level, event, attrs)
+	_, _ = l.w.Write(l.buf)
 }
 
 // Debug emits a Debug-level event.
@@ -224,14 +160,12 @@ func (l *Logger) Warn(event string, attrs ...Attr) { l.Log(Warn, event, attrs...
 // Error emits an Error-level event.
 func (l *Logger) Error(event string, attrs ...Attr) { l.Log(Error, event, attrs...) }
 
-func (l *Logger) encode(now time.Time, level Level, event string, attrs []Attr, dropped int64) []byte {
-	ts := now.UTC().Format(time.RFC3339Nano)
-	switch l.enc {
-	case JSON:
-		return encodeJSON(ts, level, event, attrs, dropped)
-	default:
-		return encodeLogfmt(ts, level, event, attrs, dropped)
+// encode appends the event's line to b.
+func (l *Logger) encode(b []byte, now time.Time, level Level, event string, attrs []Attr) []byte {
+	if l.enc == JSON {
+		return encodeJSON(b, now, level, event, attrs)
 	}
+	return encodeLogfmt(b, now, level, event, attrs)
 }
 
 // needsQuote reports whether a logfmt value must be quoted: empty, or
@@ -256,10 +190,9 @@ func appendLogfmtValue(b []byte, v string) []byte {
 	return strconv.AppendQuote(b, v)
 }
 
-func encodeLogfmt(ts string, level Level, event string, attrs []Attr, dropped int64) []byte {
-	b := make([]byte, 0, 96+24*len(attrs))
+func encodeLogfmt(b []byte, now time.Time, level Level, event string, attrs []Attr) []byte {
 	b = append(b, "time="...)
-	b = append(b, ts...)
+	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
 	b = append(b, " level="...)
 	b = append(b, level.String()...)
 	b = append(b, " event="...)
@@ -269,10 +202,6 @@ func encodeLogfmt(ts string, level Level, event string, attrs []Attr, dropped in
 		b = append(b, a.Key...)
 		b = append(b, '=')
 		b = appendLogfmtValue(b, a.Value)
-	}
-	if dropped > 0 {
-		b = append(b, " dropped="...)
-		b = strconv.AppendInt(b, dropped, 10)
 	}
 	return append(b, '\n')
 }
@@ -284,11 +213,11 @@ func appendJSONString(b []byte, v string) []byte {
 	return append(b, enc...)
 }
 
-func encodeJSON(ts string, level Level, event string, attrs []Attr, dropped int64) []byte {
-	b := make([]byte, 0, 128+32*len(attrs))
-	b = append(b, `{"time":`...)
-	b = appendJSONString(b, ts)
-	b = append(b, `,"level":`...)
+func encodeJSON(b []byte, now time.Time, level Level, event string, attrs []Attr) []byte {
+	// An RFC 3339 timestamp holds nothing JSON must escape.
+	b = append(b, `{"time":"`...)
+	b = now.UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","level":`...)
 	b = appendJSONString(b, level.String())
 	b = append(b, `,"event":`...)
 	b = appendJSONString(b, event)
@@ -298,25 +227,5 @@ func encodeJSON(ts string, level Level, event string, attrs []Attr, dropped int6
 		b = append(b, ':')
 		b = appendJSONString(b, a.Value)
 	}
-	if dropped > 0 {
-		b = append(b, `,"dropped":`...)
-		b = appendJSONString(b, strconv.FormatInt(dropped, 10))
-	}
 	return append(b, "}\n"...)
-}
-
-// SampledEvents reports the event names with sampling installed, sorted
-// — introspection for tests and the spectop footer. Nil-safe.
-func (l *Logger) SampledEvents() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	names := make([]string, 0, len(l.buckets))
-	for name := range l.buckets {
-		names = append(names, name)
-	}
-	l.mu.Unlock()
-	sort.Strings(names)
-	return names
 }

@@ -9,27 +9,16 @@ import (
 	"time"
 )
 
-// fixedClock returns a clock that starts at a known instant and
-// advances only when the test says so.
-func fixedClock(start time.Time) (now func() time.Time, advance func(time.Duration)) {
-	cur := start
-	var mu sync.Mutex
-	return func() time.Time {
-			mu.Lock()
-			defer mu.Unlock()
-			return cur
-		}, func(d time.Duration) {
-			mu.Lock()
-			cur = cur.Add(d)
-			mu.Unlock()
-		}
+// fixedClock returns a clock stopped at start.
+func fixedClock(start time.Time) func() time.Time {
+	return func() time.Time { return start }
 }
 
 var t0 = time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 
 func TestLogfmtEncoding(t *testing.T) {
 	var buf bytes.Buffer
-	now, _ := fixedClock(t0)
+	now := fixedClock(t0)
 	l := New(&buf, Options{Now: now})
 	l.Info("pool_build",
 		String("scope", "vendor=amd"),
@@ -47,7 +36,7 @@ func TestLogfmtEncoding(t *testing.T) {
 
 func TestLogfmtQuoting(t *testing.T) {
 	var buf bytes.Buffer
-	now, _ := fixedClock(t0)
+	now := fixedClock(t0)
 	l := New(&buf, Options{Now: now})
 	l.Warn("e", String("a", `has "quotes"`), String("b", "two words"), String("c", "plain"))
 	line := buf.String()
@@ -62,7 +51,7 @@ func TestLogfmtQuoting(t *testing.T) {
 
 func TestJSONEncoding(t *testing.T) {
 	var buf bytes.Buffer
-	now, _ := fixedClock(t0)
+	now := fixedClock(t0)
 	l := New(&buf, Options{Encoding: JSON, Now: now})
 	l.Error("pool_evict", String("scope", "os=linux"), String("reason", "lru"))
 	line := buf.String()
@@ -113,51 +102,6 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	l.Warn("e")
 	l.Error("e")
 	l.Log(Info, "e")
-	if l.Sample("e", 1, 1) != nil {
-		t.Error("Sample on nil returned non-nil")
-	}
-	if l.SampledEvents() != nil {
-		t.Error("SampledEvents on nil returned non-nil")
-	}
-}
-
-// TestTokenBucketSampling: burst passes, excess drops, refill restores,
-// and the first event after a dry spell carries dropped=N covering the
-// gap.
-func TestTokenBucketSampling(t *testing.T) {
-	var buf bytes.Buffer
-	now, advance := fixedClock(t0)
-	l := New(&buf, Options{Now: now}).Sample("hit", 2, 1) // burst 2, 1/s refill
-	for i := 0; i < 5; i++ {
-		l.Info("hit", Int("i", i))
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("burst 2: emitted %d lines, want 2: %q", len(lines), lines)
-	}
-	// Three drops accumulated; one second refills one token, and the
-	// next event both passes and accounts for the gap.
-	advance(time.Second)
-	l.Info("hit", Int("i", 5))
-	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("after refill: %d lines, want 3: %q", len(lines), lines)
-	}
-	last := lines[2]
-	if !strings.Contains(last, "i=5") || !strings.Contains(last, "dropped=3") {
-		t.Errorf("refill line %q missing i=5 / dropped=3", last)
-	}
-	// Unsampled events are never throttled.
-	for i := 0; i < 10; i++ {
-		l.Info("other")
-	}
-	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 13 {
-		t.Errorf("unsampled event throttled: %d lines, want 13", len(lines))
-	}
-	if got := l.SampledEvents(); len(got) != 1 || got[0] != "hit" {
-		t.Errorf("SampledEvents = %v, want [hit]", got)
-	}
 }
 
 func TestParseEncoding(t *testing.T) {

@@ -228,3 +228,35 @@ func TestRingConcurrentAdd(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceparent pins the header parser on arbitrary input: it
+// never panics; ok means a 32- and a 16-digit lowercase hex id, neither
+// all zeros; New adopts the parsed ids exactly when ok; and the
+// outbound header of any trace parses back to its trace id.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, pid, ok := ParseTraceparent(h)
+		if ok {
+			if len(tid) != 32 || !isLowerHex(tid) || allZero(tid) {
+				t.Fatalf("ParseTraceparent(%q) ok with trace id %q", h, tid)
+			}
+			if len(pid) != 16 || !isLowerHex(pid) || allZero(pid) {
+				t.Fatalf("ParseTraceparent(%q) ok with parent id %q", h, pid)
+			}
+		} else if tid != "" || pid != "" {
+			t.Fatalf("ParseTraceparent(%q) failed but returned (%q, %q)", h, tid, pid)
+		}
+
+		tr := New("GET /x", h, time.Unix(0, 0))
+		if adopted := tr.TraceID() == tid; adopted != ok {
+			t.Fatalf("header %q: ok=%v but trace id %q adopted=%v", h, ok, tr.TraceID(), adopted)
+		}
+		if tr.ParentSpanID() != pid {
+			t.Fatalf("header %q: parent span id %q, want %q", h, tr.ParentSpanID(), pid)
+		}
+		out := tr.Traceparent()
+		if got, _, ok := ParseTraceparent(out); !ok || got != tr.TraceID() {
+			t.Fatalf("outbound header %q parses to (%q, %v), want trace id %q", out, got, ok, tr.TraceID())
+		}
+	})
+}

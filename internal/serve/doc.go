@@ -75,8 +75,7 @@
 // work; the pool fans each event out to the server's obs.Collector
 // and, when owned, to that request's record. When the request ends,
 // the outermost middleware derives the Collector observation, the
-// Config.Logf line, the evlog event and the optional trace from the
-// record. Ingest and compute count once per actual event, so
+// evlog request event and the optional trace from the record. Ingest and compute count once per actual event, so
 // single-flight sharing cannot inflate them. The
 // aggregates surface once: /metrics as Prometheus text exposition
 // (cumulative histograms and counters, plus a specserve_runtime_*
@@ -99,14 +98,14 @@
 //
 // # Event log and pool introspection
 //
-// Config.Events (an obs/evlog.Logger) adds a structured event stream
-// alongside — or instead of — the Config.Logf line, which keeps its
-// historical one-line format byte-for-byte. Every request emits one
-// "request" event carrying method, path, status, status_class,
-// etag_revalidated, bytes, duration, and trace_id; the state plane
-// emits its own lifecycle: pool_build (with the single-flight join
-// count — how many requests waited on that one build), pool_evict with
-// a reason (lru, build_failed, ingestion_failed), and audit_flush.
+// Config.Events (an obs/evlog.Logger) is the server's only log; nil
+// logs nothing. Every request emits one "request" event carrying
+// method, path, status, status_class, etag_revalidated, bytes,
+// duration, and trace_id, in that key order; the state plane emits
+// its own lifecycle through the same logger: pool_build (with the
+// single-flight join count — how many requests waited on that one
+// build), pool_evict with a reason (lru, build_failed,
+// ingestion_failed, or the ResetPool reason), and audit_flush.
 // The same instrumentation feeds counter families in /metrics
 // (specserve_pool_*, specserve_memo_*, specserve_parse_cache_*,
 // specserve_audit_queue_*) and GET /v1/pool, a deterministic snapshot
@@ -128,9 +127,8 @@
 // count-only engine events the record stamps on receipt, keeping
 // registered analyses clock-free under specvet's determinism gate.
 // Completed traces are published to a bounded lock-free ring served by
-// /v1/traces, Config.SlowTrace logs one line per slower-than-threshold
-// request with its trace id, and the id also rides the audit record
-// for the same response.
+// /v1/traces (?min_ms= keeps only the slow ones); the trace id also
+// rides the request event and the audit record for the same response.
 //
 // # Audit
 //

@@ -305,33 +305,26 @@ func TestPoolViewStable(t *testing.T) {
 	}
 }
 
-// TestTextLogFormatPinned pins the legacy one-line request log
-// byte-for-byte: -log-format text must keep emitting exactly this
-// shape no matter what the structured event log grows.
-func TestTextLogFormatPinned(t *testing.T) {
-	var mu sync.Mutex
-	var formats, lines []string
-	s, _ := testServer(t, Config{Logf: func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		formats = append(formats, format)
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}})
+// TestRequestEventLinePinned pins the logfmt request line's key order:
+// scrapers cut fields by position, so time, level, event, method, path,
+// status, status_class, etag_revalidated, bytes, dur, trace_id and
+// analysis must keep coming in exactly this order.
+func TestRequestEventLinePinned(t *testing.T) {
+	var sink syncBuf
+	s, _ := testServer(t, Config{Events: evlog.New(&sink, evlog.Options{})})
 	if rec := get(t, s, "/v1/analyses/funnel"); rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(formats) != 1 {
-		t.Fatalf("log lines = %d, want 1", len(formats))
+	reqs := linesWith(sink.lines(), "event=request ")
+	if len(reqs) != 1 {
+		t.Fatalf("request lines = %d, want 1", len(reqs))
 	}
-	if formats[0] != "%s %s %d %dB %s" {
-		t.Fatalf("format = %q, want %q", formats[0], "%s %s %d %dB %s")
-	}
-	shape := regexp.MustCompile(`^GET /v1/analyses/funnel 200 \d+B \d+(\.\d+)?(ns|µs|ms|s)$`)
-	if !shape.MatchString(lines[0]) {
-		t.Errorf("line = %q does not match %v", lines[0], shape)
+	shape := regexp.MustCompile(`^time=\S+ level=info event=request method=GET path=/v1/analyses/funnel ` +
+		`status=200 status_class=2xx etag_revalidated=false bytes=\d+ dur=\d+(\.\d+)?(ns|µs|ms|s) ` +
+		`trace_id=[0-9a-f]{32} analysis=funnel$`)
+	if !shape.MatchString(reqs[0]) {
+		t.Errorf("line = %q does not match %v", reqs[0], shape)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,8 +15,8 @@ import (
 
 // record is one request's single observation: its root attributes and
 // the stages it entered, each boundary read from the clock once.
-// withMetrics derives the Collector observation, the Logf line, the
-// evlog event and the optional trace from it, so they cannot disagree.
+// withMetrics derives the Collector observation, the evlog event and
+// the optional trace from it, so they cannot disagree.
 // It wraps the ResponseWriter to capture the status and body size.
 type record struct {
 	http.ResponseWriter
@@ -225,40 +224,29 @@ func (s *Server) withMetrics(next http.Handler) http.Handler {
 		})
 		if rec.tr != nil {
 			s.publishTrace(rec, end)
-			if s.cfg.SlowTrace > 0 && dur >= s.cfg.SlowTrace && s.cfg.Logf != nil {
-				s.cfg.Logf("slow request: %s %s %d %s trace=%s",
-					r.Method, r.URL.RequestURI(), rec.status,
-					dur.Round(time.Microsecond), rec.traceID())
-			}
-		}
-		if s.cfg.Logf != nil {
-			s.cfg.Logf("%s %s %d %dB %s",
-				r.Method, r.URL.RequestURI(), rec.status, rec.bytes,
-				dur.Round(time.Microsecond))
 		}
 		s.requestEvent(r, rec, dur)
 	})
 }
 
-// requestEvent emits the structured form of the request log line:
-// every response carries its trace id, and status_class /
-// etag_revalidated make error responses and 304 revalidations
-// grep-distinguishable from attributable 200s — the one-line text
-// format logs all of them with the same shape.
+// requestEvent emits the request's log line: every response carries
+// its trace id, and status_class / etag_revalidated make error
+// responses and 304 revalidations grep-distinguishable from
+// attributable 200s.
 func (s *Server) requestEvent(r *http.Request, rec *record, dur time.Duration) {
 	if s.cfg.Events == nil {
 		return
 	}
-	attrs := []evlog.Attr{
+	attrs := append(make([]evlog.Attr, 0, 10),
 		evlog.String("method", r.Method),
 		evlog.String("path", r.URL.RequestURI()),
 		evlog.Int("status", rec.status),
-		evlog.String("status_class", fmt.Sprintf("%dxx", rec.status/100)),
+		evlog.String("status_class", strconv.Itoa(rec.status/100)+"xx"),
 		evlog.Bool("etag_revalidated", rec.status == http.StatusNotModified),
 		evlog.Int64("bytes", rec.bytes),
 		evlog.Dur("dur", dur),
 		evlog.String("trace_id", rec.traceID()),
-	}
+	)
 	if rec.analysis != "" {
 		attrs = append(attrs, evlog.String("analysis", rec.analysis))
 	}

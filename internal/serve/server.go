@@ -43,16 +43,11 @@ type Config struct {
 	// MaxInFlight bounds concurrently served requests (<=0 =
 	// DefaultMaxInFlight).
 	MaxInFlight int
-	// Logf, when non-nil, receives one line per request in the legacy
-	// one-line text format (preserved byte-for-byte for existing
-	// log-scraping).
-	Logf func(format string, args ...any)
-	// Events, when non-nil, receives structured lifecycle events (see
+	// Events, when non-nil, is the server's log (see
 	// internal/obs/evlog): one "request" event per response carrying
-	// trace_id, status_class, and etag_revalidated, plus the state-plane
-	// events (pool builds and evictions, audit flushes when the audit
-	// log is wired to the same logger). Independent of Logf — a server
-	// can emit both, either, or neither.
+	// trace_id, status_class, and etag_revalidated, plus the pool's
+	// build and evict events (and audit flushes when the audit log is
+	// wired to the same logger). Nil logs nothing.
 	Events *evlog.Logger
 	// Audit, when non-nil, receives one hash-chained provenance record
 	// per attributable 200 — analysis and report responses, whose bytes
@@ -64,10 +59,6 @@ type Config struct {
 	// GET /v1/traces (0 = DefaultTraceBuffer; negative disables
 	// tracing entirely — no per-request trace, no /v1/traces route).
 	TraceBufferSize int
-	// SlowTrace, when positive, logs one line through Logf for every
-	// request at least this slow, carrying its trace id. No effect
-	// when tracing is disabled or Logf is nil.
-	SlowTrace time.Duration
 	// Pprof mounts GET /debug/pprof/* for loopback clients. Off by
 	// default: profiles expose memory contents.
 	Pprof bool

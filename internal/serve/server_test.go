@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/evlog"
 	"repro/internal/synth"
 )
 
@@ -833,25 +834,18 @@ func TestWarm(t *testing.T) {
 }
 
 func TestRequestLogging(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		lines = append(lines, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
+	var sink syncBuf
 	var streams atomic.Int64
 	s := New(Config{
-		Base: countingSource{inner: core.SliceSource(testRuns(t)), streams: &streams},
-		Logf: logf,
+		Base:   countingSource{inner: core.SliceSource(testRuns(t)), streams: &streams},
+		Events: evlog.New(&sink, evlog.Options{}),
 	})
 	get(t, s, "/v1/analyses/funnel?filter=vendor%3DAMD")
-	mu.Lock()
-	defer mu.Unlock()
+	lines := linesWith(sink.lines(), "event=request ")
 	if len(lines) != 1 {
-		t.Fatalf("logged %d lines, want 1", len(lines))
+		t.Fatalf("logged %d request lines, want 1", len(lines))
 	}
-	for _, want := range []string{"GET", "/v1/analyses/funnel", "200"} {
+	for _, want := range []string{"method=GET", `path="/v1/analyses/funnel?filter=vendor%3DAMD"`, "status=200"} {
 		if !strings.Contains(lines[0], want) {
 			t.Errorf("log line %q missing %q", lines[0], want)
 		}

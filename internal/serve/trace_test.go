@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -224,24 +223,6 @@ func TestTracingDisabled(t *testing.T) {
 	}
 	if rec := get(t, s, "/v1/traces"); rec.Code != http.StatusNotFound {
 		t.Fatalf("/v1/traces = %d with tracing disabled, want 404", rec.Code)
-	}
-}
-
-// TestSlowTraceLog: requests at or above the threshold log one slow
-// line carrying the trace id; fast requests do not.
-func TestSlowTraceLog(t *testing.T) {
-	var mu strings.Builder
-	s, _ := testServer(t, Config{
-		SlowTrace: time.Nanosecond, // every request qualifies
-		Logf:      func(f string, a ...any) { fmt.Fprintf(&mu, f+"\n", a...) },
-	})
-	get(t, s, "/healthz")
-	logged := mu.String()
-	if !strings.Contains(logged, "slow request:") {
-		t.Fatalf("no slow line in log:\n%s", logged)
-	}
-	if !strings.Contains(logged, "trace=") {
-		t.Fatalf("slow line lacks trace id:\n%s", logged)
 	}
 }
 
