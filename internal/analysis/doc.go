@@ -5,7 +5,8 @@
 // post-2021 feature comparison).
 //
 // Every public function takes parsed model.Run slices (usually via
-// Dataset) and returns plain structs or frame.Frame tables that the
-// plot package renders and the bench harness prints, so the same code
-// path regenerates each table and figure of the paper.
+// Dataset) and returns plain structs that the plot package renders and
+// the bench harness prints, so the same code path regenerates each
+// table and figure of the paper. Per-run tables leave as CSV through
+// WriteRunsCSV.
 package analysis

@@ -135,6 +135,15 @@ func TestLiveAppendRollover(t *testing.T) {
 	if rec := postRun(t, s, []byte("not a result file")); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage POST = %d, want 400", rec.Code)
 	}
+	// A result file that would parse but is padded past the body limit
+	// is too large, not malformed, and appends nothing.
+	padded := append(resultFileBytes(t, extra), bytes.Repeat([]byte("\n"), maxRunBody)...)
+	if rec := postRun(t, s, padded); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized POST = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if got := scrape(t, s)["specserve_generation"]; got != 1 {
+		t.Errorf("specserve_generation after rejected POSTs = %v, want 1", got)
+	}
 }
 
 // TestLiveDisabled: a static server exposes none of the append plane.

@@ -580,6 +580,10 @@ func (s *Server) handleAppendRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	run, err := parser.Parse(http.MaxBytesReader(w, r.Body, maxRunBody))
 	rec.add("parse", start, time.Now())
+	if errors.As(err, new(*http.MaxBytesError)) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("result file exceeds %d bytes", maxRunBody))
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("parse result file: %v", err))
 		return

@@ -75,59 +75,3 @@ func Variance(xs []float64) float64 {
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
-
-// Min returns the smallest finite entry, or NaN if there is none.
-func Min(xs []float64) float64 {
-	best := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if math.IsNaN(best) || x < best {
-			best = x
-		}
-	}
-	return best
-}
-
-// Max returns the largest finite entry, or NaN if there is none.
-func Max(xs []float64) float64 {
-	best := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if math.IsNaN(best) || x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-// Summary holds the eight-number description used throughout the
-// analysis output.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Q25    float64
-	Median float64
-	Q75    float64
-	Max    float64
-}
-
-// Describe computes the Summary of the finite entries of xs.
-func Describe(xs []float64) Summary {
-	clean := DropNaN(xs)
-	return Summary{
-		N:      len(clean),
-		Mean:   Mean(clean),
-		Std:    StdDev(clean),
-		Min:    Min(clean),
-		Q25:    Quantile(clean, 0.25),
-		Median: Quantile(clean, 0.5),
-		Q75:    Quantile(clean, 0.75),
-		Max:    Max(clean),
-	}
-}
