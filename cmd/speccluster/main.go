@@ -21,13 +21,12 @@
 // k = 2…8. "hac" is hierarchical agglomerative clustering under
 // -linkage single/complete/average; cut the dendrogram either at -k
 // clusters or at the -cut distance threshold. "minibatch" is seeded
-// mini-batch k-means (-batch sets the sample size) — the online
-// variant the live serving path warm-starts across appends; from the
-// CLI it behaves like kmeans with stochastic batched updates, still
-// deterministic for a fixed -seed. -features restricts the
-// standardized feature vector; -sweep prints the elbow sweep
-// (within-cluster SSE + silhouette per k); -json emits everything
-// machine-readable, including per-run assignments.
+// mini-batch k-means (-batch sets the sample size): kmeans with
+// stochastic batched updates, seeded from -seed on every run, so its
+// partition, like the others', is a function of corpus and flags.
+// -features restricts the standardized feature vector; -sweep prints
+// the elbow sweep (within-cluster SSE + silhouette per k); -json emits
+// everything machine-readable, including per-run assignments.
 //
 // Usage:
 //

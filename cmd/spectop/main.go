@@ -1,10 +1,10 @@
 // Command spectop is a live terminal dashboard for a running specserve:
 // it polls GET /metrics and /v1/pool and renders pool occupancy (one
 // row per resident scope engine), request counters, stage latency
-// percentiles, and cache hit ratios (engine memo, cluster memo rings,
-// gob parse cache), refreshing in place until interrupted. Stage
-// percentiles come from the exposition's buckets through
-// obs.HistogramSnapshot.QuantileNs, the server's own estimator.
+// percentiles, and cache hit ratios (engine memo, gob parse cache),
+// refreshing in place until interrupted. Stage percentiles come from
+// the exposition's buckets through obs.HistogramSnapshot.QuantileNs,
+// the server's own estimator.
 //
 // Usage:
 //
@@ -294,11 +294,6 @@ func render(w io.Writer, addr string, s *snapshot) {
 		fmt.Fprintf(w, "%-16s %7s   %.0f/%.0f\n", name, ratio(h, m), h, m)
 	}
 	cacheRow("memo", "specserve_memo_hits_total", "specserve_memo_misses_total")
-	for _, ring := range []string{"partition", "sweep", "warm"} {
-		cacheRow("ring:"+ring,
-			`specserve_memo_ring_hits_total{ring="`+ring+`"}`,
-			`specserve_memo_ring_misses_total{ring="`+ring+`"}`)
-	}
 	cacheRow("parse",
 		"specserve_parse_cache_hits_total", "specserve_parse_cache_misses_total")
 

@@ -137,7 +137,7 @@ func stageRow(stage string, h obs.HistogramSnapshot) string {
 
 // TestFetchRenderLiveAudit: against a live, audited specserve, spectop
 // prints one row per observed stage whose count and percentiles are
-// the server histogram's, plus the live, audit and warm-ring lines.
+// the server histogram's, plus the live and audit lines.
 func TestFetchRenderLiveAudit(t *testing.T) {
 	ts, _ := newServer(t, true, true)
 	drive(t, ts.URL)
@@ -153,9 +153,6 @@ func TestFetchRenderLiveAudit(t *testing.T) {
 	}
 	if !strings.Contains(out, "\naudit      records ") {
 		t.Errorf("audit line missing:\n%s", out)
-	}
-	if !strings.Contains(out, "\nring:warm ") {
-		t.Errorf("warm memo-ring row missing:\n%s", out)
 	}
 	if !strings.Contains(out, "\n(all) ") {
 		t.Errorf("pool table lacks the root scope:\n%s", out)
@@ -330,7 +327,6 @@ func FuzzParseMetrics(f *testing.F) {
 		}
 		g := obs.ServerGauges{
 			Requests: int64(len(durs)), PoolCapacity: len(label), Analyses: len(page),
-			MemoRings:   []obs.MemoRingGauge{{Ring: label, Hits: int64(len(durs))}},
 			LiveEnabled: true, AuditEnabled: true,
 		}
 		var buf bytes.Buffer

@@ -13,9 +13,6 @@ type DatasetBuilder struct {
 	ds          Dataset
 	parseCounts map[model.RejectReason]int
 	compCounts  map[model.RejectReason]int
-	// lastSnap is the cache identity of the most recent Snapshot, the
-	// lineage link the next Snapshot records as its predecessor.
-	lastSnap *datasetID
 }
 
 // NewDatasetBuilder returns an empty builder.
@@ -76,17 +73,14 @@ func (b *DatasetBuilder) Dataset() *Dataset {
 }
 
 // Snapshot returns an independent point-in-time view of the corpus: a
-// dataset with its own cache identity whose PrevCacheKey links to the
-// builder's previous Snapshot, so dataset-keyed caches distinguish
-// generations while warm-start caches can walk back one. Later Add
-// calls never alter a snapshot — appends extend the builder's slices
-// strictly past every snapshot's length, and runs are never mutated —
-// so snapshots may be read concurrently with further building.
+// dataset with its own identity, so state derived from one generation
+// (see Derive) never leaks into the next. Later Add calls never alter
+// a snapshot — appends extend the builder's slices strictly past every
+// snapshot's length, and runs are never mutated — so snapshots may be
+// read concurrently with further building.
 func (b *DatasetBuilder) Snapshot() *Dataset {
 	ds := b.ds
 	ds.Funnel = b.Funnel()
 	ds.id = new(datasetID)
-	ds.prev = b.lastSnap
-	b.lastSnap = ds.id
 	return &ds
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -94,42 +95,65 @@ type Dataset struct {
 	// of clocks and I/O.
 	Kernel KernelObserver
 
-	// id anchors the dataset's cache identity across the shallow copies
-	// WithKernel makes; see CacheKey.
+	// id anchors the dataset's derived-state memo across the shallow
+	// copies WithKernel makes; see Derive.
 	id *datasetID
-	// prev is the cache identity of the snapshot this dataset extends
-	// (nil for a first snapshot or a literally constructed dataset);
-	// see PrevCacheKey.
-	prev *datasetID
 }
 
-type datasetID struct{ _ byte }
+// derivedCap bounds the entries one dataset's derived-state memo keeps;
+// the oldest is evicted first and simply recomputes if asked again.
+const derivedCap = 8
 
-// CacheKey returns an opaque comparable identity for dataset-keyed
-// caches: every WithKernel copy of a builder-produced dataset shares
-// its original's key, so attaching an observer never splits a cache. A
-// dataset constructed literally (tests, ad-hoc callers) has no id and
-// is its own key.
-func (d *Dataset) CacheKey() any {
-	if d.id == nil {
-		return d
-	}
-	return d.id
+// datasetID is a dataset's identity for derived state: every Snapshot
+// gets a fresh one, every WithKernel copy shares its original's.
+type datasetID struct {
+	mu      sync.Mutex
+	derived []*derivedEntry // insertion order, at most derivedCap
 }
 
-// PrevCacheKey returns the cache identity of the snapshot this dataset
-// was appended onto, or nil when there is none. Warm-startable kernels
-// (mini-batch k-means) use it to find state computed against the
-// previous corpus generation.
-func (d *Dataset) PrevCacheKey() any {
-	if d.prev == nil {
-		return nil
+type derivedEntry struct {
+	key  string
+	once sync.Once
+	val  any
+	err  error
+}
+
+// Derive computes (or recalls) state derived from ds under key — a
+// clustering partition, a k sweep — so analyses that need the same
+// intermediate share one computation per dataset. Each key computes
+// once; concurrent callers of one key wait for that computation, and an
+// error is remembered like a value. f must be a pure function of
+// (ds, key): the memo lives and dies with the dataset, so a later
+// corpus generation starts empty. A literally constructed dataset (no
+// builder identity) has no memo and just calls f.
+func Derive[T any](ds *Dataset, key string, f func() (T, error)) (T, error) {
+	id := ds.id
+	if id == nil {
+		return f()
 	}
-	return d.prev
+	id.mu.Lock()
+	var e *derivedEntry
+	for _, c := range id.derived {
+		if c.key == key {
+			e = c
+			break
+		}
+	}
+	if e == nil {
+		e = &derivedEntry{key: key}
+		if len(id.derived) == derivedCap {
+			id.derived = append(id.derived[:0], id.derived[1:]...)
+		}
+		id.derived = append(id.derived, e)
+	}
+	id.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = f() })
+	v, _ := e.val.(T)
+	return v, e.err
 }
 
 // WithKernel returns a shallow copy of the dataset with the kernel
-// observer attached — same corpus slices, same cache identity. The
+// observer attached — same corpus slices, same derived-state memo. The
 // receiver is never mutated: datasets are shared across concurrent
 // analyses, and the observer is per-request state.
 func (d *Dataset) WithKernel(obs KernelObserver) *Dataset {

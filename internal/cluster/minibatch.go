@@ -14,10 +14,10 @@ import (
 type MiniBatchOptions struct {
 	// K is the cluster count (1 ≤ K ≤ rows).
 	K int
-	// Seed seeds the private RNG behind both the cold k-means++
+	// Seed seeds the private RNG behind both the k-means++
 	// initialization and the batch sampling. Equal seeds on equal
-	// matrices (and equal warm state) give identical results; the
-	// global rand is never touched.
+	// matrices give identical results; the global rand is never
+	// touched.
 	Seed int64
 	// BatchSize is the number of rows sampled per iteration (0 = 128).
 	BatchSize int
@@ -25,14 +25,6 @@ type MiniBatchOptions struct {
 	MaxIter int
 	// Workers bounds the final full-assignment pass (0 = GOMAXPROCS).
 	Workers int
-	// InitCentroids and InitCounts warm-start the run from a previous
-	// partition's online state: centroids and per-centroid assignment
-	// mass. Both are copied, never mutated. A mismatch with K or the
-	// matrix dimensionality (the feature set changed) falls back to
-	// cold k-means++ seeding instead of erroring, so a warm start is
-	// always a hint, never a contract.
-	InitCentroids [][]float64
-	InitCounts    []int64
 	// OnIteration, when non-nil, is called after each batch with the
 	// 1-based iteration number, how many sampled rows changed their
 	// nearest centroid, and whether the run converged on this batch.
@@ -40,19 +32,13 @@ type MiniBatchOptions struct {
 	OnIteration func(iter, moved int, converged bool)
 }
 
-// MiniBatchResult is one mini-batch partition plus the online state a
-// successor run warm-starts from.
+// MiniBatchResult is one mini-batch partition.
 type MiniBatchResult struct {
 	// K is the cluster count.
 	K int
 	// Labels assigns each matrix row a cluster in [0, K), from a final
 	// full assignment pass over all rows.
 	Labels []int
-	// Centroids are the online cluster centers in standardized feature
-	// space; Counts is the assignment mass each accumulated (the
-	// learning-rate state).
-	Centroids [][]float64
-	Counts    []int64
 	// SSE is the within-cluster sum of squared distances under the
 	// final assignment.
 	SSE float64
@@ -60,9 +46,6 @@ type MiniBatchResult struct {
 	// batch moved no sampled row before MaxIter.
 	Iterations int
 	Converged  bool
-	// WarmStarted reports whether the run accepted the caller's init
-	// state (false = cold k-means++ seeding).
-	WarmStarted bool
 }
 
 // MiniBatch partitions the matrix rows into K clusters with seeded
@@ -85,18 +68,11 @@ func MiniBatch(m *Matrix, opt MiniBatchOptions) (*MiniBatchResult, error) {
 		maxIter = 64
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	res := &MiniBatchResult{K: opt.K, Counts: make([]int64, opt.K)}
-	if warmUsable(m, opt) {
-		res.WarmStarted = true
-		res.Centroids = make([][]float64, opt.K)
-		for c, cent := range opt.InitCentroids {
-			res.Centroids[c] = cloneRow(cent)
-		}
-		copy(res.Counts, opt.InitCounts)
-	} else {
-		res.Centroids = seedPlusPlus(m.Rows, opt.K, rng)
-	}
-	cents, counts := res.Centroids, res.Counts
+	res := &MiniBatchResult{K: opt.K}
+	cents := seedPlusPlus(m.Rows, opt.K, rng)
+	// counts is each centroid's accumulated assignment mass, the
+	// learning-rate state.
+	counts := make([]int64, opt.K)
 
 	// last remembers each row's nearest centroid as of its most recent
 	// sampling, so "moved" means what it does for Lloyd iterations: how
@@ -139,44 +115,17 @@ func MiniBatch(m *Matrix, opt MiniBatchOptions) (*MiniBatchResult, error) {
 	}
 
 	// One full assignment pass gives every row a label against the
-	// final centroids; empty clusters are rescued deterministically and
-	// restart their learning-rate state.
+	// final centroids; empty clusters are rescued deterministically.
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = -1
 	}
 	dist2 := make([]float64, n)
 	assignRows(m.Rows, cents, labels, dist2, opt.Workers)
-	sizes := make([]int, opt.K)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	if reseedEmpty(m.Rows, cents, labels, dist2, opt.K) > 0 {
-		for c, sz := range sizes {
-			if sz == 0 {
-				counts[c] = 1
-			}
-		}
-	}
+	reseedEmpty(m.Rows, cents, labels, dist2, opt.K)
 	res.Labels = labels
 	for _, d := range dist2 {
 		res.SSE += d
 	}
 	return res, nil
-}
-
-// warmUsable reports whether the caller's init state matches the run's
-// shape: K centroids with K counts, each centroid in the matrix's
-// feature space.
-func warmUsable(m *Matrix, opt MiniBatchOptions) bool {
-	if len(opt.InitCentroids) != opt.K || len(opt.InitCounts) != opt.K {
-		return false
-	}
-	dim := len(m.Features)
-	for _, cent := range opt.InitCentroids {
-		if len(cent) != dim {
-			return false
-		}
-	}
-	return true
 }

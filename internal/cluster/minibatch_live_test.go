@@ -66,9 +66,7 @@ func appendTranscript(t *testing.T, base []*model.Run, batches [][]*model.Run, p
 // TestMiniBatchAppendSequenceDeterministic is the live-clustering
 // acceptance pin: for a fixed seed and a fixed append sequence, the
 // mini-batch partition served after every generation is byte-identical
-// across 10 independent replays — warm starts included — so online
-// clustering is reproducible run-to-run even though it is
-// append-order-dependent.
+// across 10 independent replays.
 func TestMiniBatchAppendSequenceDeterministic(t *testing.T) {
 	runs, err := synth.Generate(synth.DefaultOptions())
 	if err != nil {

@@ -17,9 +17,6 @@ func TestMiniBatchSeparatesBlobs(t *testing.T) {
 	if res.K != 2 || len(res.Labels) != len(m.Rows) {
 		t.Fatalf("K = %d, %d labels for %d rows", res.K, len(res.Labels), len(m.Rows))
 	}
-	if res.WarmStarted {
-		t.Error("cold run reported WarmStarted")
-	}
 	// The two blobs are far apart: every "small" run must share a label,
 	// and every "big" run the other one.
 	half := len(m.Rows) / 2
@@ -67,82 +64,6 @@ func TestMiniBatchDeterministic(t *testing.T) {
 	}
 	if len(other.Labels) != len(m.Rows) {
 		t.Fatalf("seed 43: %d labels", len(other.Labels))
-	}
-}
-
-// TestMiniBatchWarmStart: a successor run accepts matching online state,
-// stays deterministic, and keeps the warm input intact (the state is
-// copied, never mutated in place).
-func TestMiniBatchWarmStart(t *testing.T) {
-	m, err := Extract(twoBlobs(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := MiniBatch(m, MiniBatchOptions{K: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	centsBefore := make([][]float64, len(cold.Centroids))
-	for i, c := range cold.Centroids {
-		centsBefore[i] = cloneRow(c)
-	}
-	warmOpt := MiniBatchOptions{K: 2, Seed: 7,
-		InitCentroids: cold.Centroids, InitCounts: cold.Counts}
-	warm1, err := MiniBatch(m, warmOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm1.WarmStarted {
-		t.Fatal("matching init state rejected")
-	}
-	warm2, err := MiniBatch(m, warmOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm1, warm2) {
-		t.Error("warm-started run not deterministic")
-	}
-	if !reflect.DeepEqual(cold.Centroids, centsBefore) {
-		t.Error("warm start mutated the caller's init centroids")
-	}
-	// Warm-starting on the same data continues a converged state: the
-	// partition must be the cold one.
-	if !reflect.DeepEqual(warm1.Labels, cold.Labels) {
-		t.Errorf("warm labels %v diverged from cold %v", warm1.Labels, cold.Labels)
-	}
-}
-
-// TestMiniBatchWarmStartShapeMismatch: init state that no longer fits —
-// wrong k, wrong dimensionality, missing counts — degrades to a cold
-// seed instead of erroring.
-func TestMiniBatchWarmStartShapeMismatch(t *testing.T) {
-	m, err := Extract(twoBlobs(6), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := MiniBatch(m, MiniBatchOptions{K: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]MiniBatchOptions{
-		"wrong k": {K: 3, Seed: 7,
-			InitCentroids: cold.Centroids, InitCounts: cold.Counts},
-		"missing counts": {K: 2, Seed: 7, InitCentroids: cold.Centroids},
-		"wrong dim": {K: 2, Seed: 7,
-			InitCentroids: [][]float64{{1}, {2}}, InitCounts: cold.Counts},
-	}
-	for name, opt := range cases {
-		res, err := MiniBatch(m, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.WarmStarted {
-			t.Errorf("%s: mismatched init state accepted", name)
-		}
-		// The fallback is exactly the cold path for the same k/seed.
-		if opt.K == 2 && !reflect.DeepEqual(res.Labels, cold.Labels) {
-			t.Errorf("%s: fallback diverged from cold run", name)
-		}
 	}
 }
 

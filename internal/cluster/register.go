@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/analysis"
 )
@@ -140,8 +139,8 @@ func sweepRangeParams(kmaxDefault int) []analysis.Param {
 
 // partitionSchema declares the knobs of the "clusters" and
 // "cluster-profiles" analyses — both describe the same partition, so
-// they share one schema (and, through the partition cache, one
-// computation per parameterization). The canonical identity is
+// they share one schema (and, through the dataset's derived-state memo,
+// one computation per parameterization). The canonical identity is
 // schema-wide: a knob the selected algorithm happens to ignore
 // (linkage under kmeans, say) still keys a distinct scenario. Equal
 // canonical strings always mean equal computations; the converse is
@@ -187,161 +186,27 @@ type partition struct {
 	sil    float64
 }
 
-// memoRing is the tiny bounded (dataset, key) → value memo behind the
-// clustering analyses. The ring is small and bounded: an evicted entry
-// just recomputes, and because the whole pipeline is deterministic,
-// concurrent misses that race to fill a slot store identical values.
-type memoRing[T any] struct {
-	mu      sync.Mutex
-	entries [8]memoEntry[T]
-	next    int
-	// Lifetime counters, guarded by mu. Plain counts only — this code is
-	// reachable from registered analyses, so no clocks or I/O here; the
-	// serving layer reads them out via MemoRingCounters.
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type memoEntry[T any] struct {
-	// ds is the dataset's CacheKey, not the pointer itself: the engine
-	// hands traced requests a shallow WithKernel copy, and both copies
-	// must hit the same entry.
-	ds  any
-	key string
-	val T
-}
-
-func (r *memoRing[T]) get(ds *analysis.Dataset, key string) (T, bool) {
-	return r.getByID(ds.CacheKey(), key)
-}
-
-// getByID is get keyed by a raw cache identity, for callers holding a
-// dataset lineage key rather than the dataset itself (the mini-batch
-// warm-start path). A nil id — a dataset with no predecessor — is
-// always a miss: empty ring slots must never match it.
-func (r *memoRing[T]) getByID(id any, key string) (T, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id != nil {
-		for _, e := range r.entries {
-			if e.ds == id && e.key == key {
-				r.hits++
-				return e.val, true
-			}
-		}
-	}
-	r.misses++
-	var zero T
-	return zero, false
-}
-
-func (r *memoRing[T]) put(ds *analysis.Dataset, key string, val T) {
-	r.putByID(ds.CacheKey(), key, val)
-}
-
-func (r *memoRing[T]) putByID(id any, key string, val T) {
-	r.mu.Lock()
-	if r.entries[r.next].ds != nil {
-		r.evictions++
-	}
-	r.entries[r.next] = memoEntry[T]{ds: id, key: key, val: val}
-	r.next = (r.next + 1) % len(r.entries)
-	r.mu.Unlock()
-}
-
-// counters snapshots one ring's lifetime counts.
-func (r *memoRing[T]) counters() RingCounters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RingCounters{Hits: r.hits, Misses: r.misses, Evictions: r.evictions}
-}
-
-// RingCounters is one memo ring's lifetime hit/miss/eviction counts.
-type RingCounters struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
-// MemoRingStats snapshots the package's memo rings — the partition ring
-// behind "clusters"/"cluster-profiles", the sweep ring behind the
-// auto-k branch and "cluster-sweep", and the warm ring carrying
-// mini-batch online state across dataset generations.
-type MemoRingStats struct {
-	Partition RingCounters
-	Sweep     RingCounters
-	Warm      RingCounters
-}
-
-// MemoRingCounters reports the process-wide memo-ring counters, for the
-// serving layer's /metrics exposition.
-func MemoRingCounters() MemoRingStats {
-	return MemoRingStats{
-		Partition: partitionCache.counters(),
-		Sweep:     sweepCache.counters(),
-		Warm:      warmCache.counters(),
-	}
-}
-
-// partitionCache memoizes partitionFor per (dataset, canonical params)
-// so "clusters" and "cluster-profiles" — fanned out concurrently by
-// Engine.Run — share one computation per scenario instead of each
-// paying for it. sweepCache memoizes sweepFor per (dataset, features,
-// range, seed): the auto-k branch of the partition and the
-// "cluster-sweep" analysis both need the same SweepK — the dominant
-// cost of a default clustering — so sharing it keeps "run clusters and
-// its sweep" at one sweep instead of two.
-var (
-	partitionCache memoRing[*partition]
-	sweepCache     memoRing[[]SweepPoint]
-	// warmCache carries mini-batch online state (centroids + counts)
-	// across dataset generations: entries are stored under the dataset
-	// that produced them and looked up under the successor's
-	// PrevCacheKey, so an appended-to corpus continues its predecessor's
-	// clustering instead of re-seeding. An evicted entry just means a
-	// cold re-seed — determinism holds per lineage either way, because a
-	// fixed append sequence replays fixed lookups.
-	warmCache memoRing[miniWarm]
-)
-
-// miniWarm is the online state one mini-batch run hands its successor.
-type miniWarm struct {
-	cents  [][]float64
-	counts []int64
-}
-
 // partitionFor computes (or recalls) the partition the params describe
-// over the dataset's comparable runs.
+// over the dataset's comparable runs. It is memoized on the dataset, so
+// "clusters" and "cluster-profiles" — fanned out concurrently by
+// Engine.RunRequests — share one computation per parameterization.
 func partitionFor(ds *analysis.Dataset, params analysis.Params) (*partition, error) {
-	key := params.Canonical()
-	if p, ok := partitionCache.get(ds, key); ok {
-		return p, nil
-	}
-	p, err := computePartition(ds, params)
-	if err != nil {
-		return nil, err
-	}
-	partitionCache.put(ds, key, p)
-	return p, nil
+	return analysis.Derive(ds, "partition|"+params.Canonical(), func() (*partition, error) {
+		return computePartition(ds, params)
+	})
 }
 
 // sweepFor computes (or recalls) the k sweep of m over [kmin, kmax]
 // under seed. Equal feature selections over one dataset produce equal
-// matrices (extraction is deterministic), so the cache keys by the
-// sweep-relevant inputs alone, letting the partition path and the
-// sweep analysis share entries across their different schemas.
+// matrices (extraction is deterministic), so the memo keys by the
+// sweep-relevant inputs alone: the auto-k branch of the partition and
+// the "cluster-sweep" analysis share one sweep — the dominant cost of a
+// default clustering — across their different schemas.
 func sweepFor(ds *analysis.Dataset, m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
-	key := fmt.Sprintf("%s|%d|%d|%d", strings.Join(m.Features, ","), kmin, kmax, seed)
-	if pts, ok := sweepCache.get(ds, key); ok {
-		return pts, nil
-	}
-	pts, err := SweepK(m, kmin, kmax, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	sweepCache.put(ds, key, pts)
-	return pts, nil
+	key := fmt.Sprintf("sweep|%s|%d|%d|%d", strings.Join(m.Features, ","), kmin, kmax, seed)
+	return analysis.Derive(ds, key, func() ([]SweepPoint, error) {
+		return SweepK(m, kmin, kmax, seed, workers)
+	})
 }
 
 const (
@@ -485,20 +350,11 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 			}
 			k = AutoK(sweep)
 		}
-		mbo := MiniBatchOptions{K: k, Seed: seed, BatchSize: p.Int("batch"),
-			Workers: workers, OnIteration: minibatchObserver(ds)}
-		// Warm-start from the predecessor dataset's online state (the
-		// partition this same parameterization produced before the last
-		// append), when one exists and its shape still fits.
-		if w, ok := warmCache.getByID(ds.PrevCacheKey(), p.Canonical()); ok {
-			mbo.InitCentroids, mbo.InitCounts = w.cents, w.counts
-		}
-		res, err := MiniBatch(m, mbo)
+		res, err := MiniBatch(m, MiniBatchOptions{K: k, Seed: seed, BatchSize: p.Int("batch"),
+			Workers: workers, OnIteration: minibatchObserver(ds)})
 		if err != nil {
 			return nil, err
 		}
-		warmCache.putByID(ds.CacheKey(), p.Canonical(),
-			miniWarm{cents: res.Centroids, counts: res.Counts})
 		part.k, part.labels = res.K, res.Labels
 		part.sil = Silhouette(m, res.Labels, res.K, workers)
 		return part, nil

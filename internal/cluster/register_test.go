@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -291,10 +291,11 @@ func TestClustersBadParamCombos(t *testing.T) {
 	}
 }
 
-// TestMemoRingCounters: the partition and sweep rings count hits,
-// misses, and ring-slot evictions. Counters are process-global, so the
-// test asserts deltas over its own sequential requests.
-func TestMemoRingCounters(t *testing.T) {
+// TestPartitionSharedAcrossFanOut: default "clusters" and
+// "cluster-profiles" fanned out concurrently through Engine.RunRequests
+// share one partition on the dataset, so both requests' kernel
+// observers together see exactly one k-means run's iteration events.
+func TestPartitionSharedAcrossFanOut(t *testing.T) {
 	opt := synth.DefaultOptions()
 	opt.Plan = []synth.YearPlan{
 		{Year: 2020, Parsed: 40, AMDShare: 0.3, LinuxShare: 0.3, TwoSocketShare: 0.7},
@@ -303,51 +304,47 @@ func TestMemoRingCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// One k-means run's worth: the auto-k partition computed directly.
 	ds := analysis.BuildDataset(runs)
-	ds.Workers = 2
-
-	before := cluster.MemoRingCounters()
-	// Nine distinct parameterizations overflow the 8-slot ring, so the
-	// ninth put must evict the first; re-requesting the first then
-	// misses and recomputes.
-	for i := 0; i < 9; i++ {
-		if _, err := runOn(t, ds, "clusters",
-			map[string]string{"k": "3", "seed": itoa(9001 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := runOn(t, ds, "clusters",
-		map[string]string{"k": "3", "seed": "9009"}); err != nil { // resident: hit
+	m, err := cluster.Extract(ds.Comparable, cluster.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runOn(t, ds, "clusters",
-		map[string]string{"k": "3", "seed": "9001"}); err != nil { // evicted: miss
+	sweep, err := cluster.SweepK(m, 2, 8, cluster.DefaultSeed, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := cluster.MemoRingCounters()
-	if got := after.Partition.Misses - before.Partition.Misses; got != 10 {
-		t.Errorf("partition misses delta = %d, want 10", got)
+	want := 0
+	if _, err := cluster.KMeans(m, cluster.KMeansOptions{K: cluster.AutoK(sweep),
+		Seed: cluster.DefaultSeed, OnIteration: func(int, int, bool) { want++ }}); err != nil {
+		t.Fatal(err)
 	}
-	if got := after.Partition.Hits - before.Partition.Hits; got != 1 {
-		t.Errorf("partition hits delta = %d, want 1", got)
-	}
-	// At least the wrap-around eviction and the recompute's re-insert;
-	// more if earlier tests left residents in the overwritten slots.
-	if got := after.Partition.Evictions - before.Partition.Evictions; got < 2 {
-		t.Errorf("partition evictions delta = %d, want >= 2", got)
+	if want == 0 {
+		t.Fatal("reference k-means reported no iterations")
 	}
 
-	before = cluster.MemoRingCounters()
-	for i := 0; i < 2; i++ {
-		if _, err := runOn(t, ds, "cluster-sweep",
-			map[string]string{"kmax": "4"}); err != nil {
+	// Fresh engines, so each fan-out races two requests onto a cold memo.
+	for rep := 0; rep < 5; rep++ {
+		var mu sync.Mutex
+		got := 0
+		eng := core.New(core.WithSource(core.SliceSource(runs)), core.WithWorkers(2),
+			core.WithHook(func(ev core.Event) {
+				if ev.Kind == core.EventKernel && ev.Kernel.Kernel == "kmeans" {
+					mu.Lock()
+					got++
+					mu.Unlock()
+				}
+			}))
+		if _, err := eng.RunRequests(
+			core.Request{Name: "clusters", Owner: "clusters"},
+			core.Request{Name: "cluster-profiles", Owner: "profiles"},
+		); err != nil {
 			t.Fatal(err)
 		}
-	}
-	after = cluster.MemoRingCounters()
-	if h, m := after.Sweep.Hits-before.Sweep.Hits, after.Sweep.Misses-before.Sweep.Misses; h != 1 || m != 1 {
-		t.Errorf("sweep hits/misses delta = %d/%d, want 1/1", h, m)
+		if got != want {
+			t.Fatalf("rep %d: %d kmeans iteration events across both requests, want %d (one run)",
+				rep, got, want)
+		}
 	}
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }

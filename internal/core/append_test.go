@@ -130,6 +130,75 @@ func TestEngineAppendEquivalence(t *testing.T) {
 	}
 }
 
+// clusteringCorners are the clustering parameterizations the
+// append-equivalence test pins, one per algorithm branch: auto-k and
+// explicit k for k-means and mini-batch, and both HAC cut modes.
+var clusteringCorners = []map[string]string{
+	nil, // kmeans, auto-k
+	{"k": "4"},
+	{"algo": "hac", "k": "4"},
+	{"algo": "hac", "cut": "3"},
+	{"algo": "minibatch"}, // auto-k
+	{"algo": "minibatch", "k": "6", "batch": "32"},
+}
+
+// clusteringRequests resolves every corner for "clusters" and
+// "cluster-profiles", plus "cluster-sweep" at its default and at a
+// narrower range.
+func clusteringRequests(t *testing.T) []Request {
+	t.Helper()
+	resolve := func(name string, raw map[string]string) Request {
+		reg, ok := analysis.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		p, err := reg.Params.Resolve(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Request{Name: name, Params: p}
+	}
+	var reqs []Request
+	for _, raw := range clusteringCorners {
+		reqs = append(reqs, resolve("clusters", raw), resolve("cluster-profiles", raw))
+	}
+	return append(reqs, resolve("cluster-sweep", nil),
+		resolve("cluster-sweep", map[string]string{"kmax": "5"}))
+}
+
+// TestEngineAppendEquivalenceClustering extends the append ≡ rebuild
+// pin to every clustering branch: an engine that served the clustering
+// corners before an append serves, after it, the bytes an engine
+// ingesting the whole corpus at once does — mini-batch included, at two
+// split points.
+func TestEngineAppendEquivalenceClustering(t *testing.T) {
+	runs, err := GenerateCorpus(appendTestOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := clusteringRequests(t)
+	var want bytes.Buffer
+	if err := New(WithSource(SliceSource(runs))).WriteJSONRequests(&want, reqs...); err != nil {
+		t.Fatal(err)
+	}
+	for _, split := range []int{len(runs) / 2, len(runs) - 7} {
+		inc := New(WithSource(SliceSource(runs[:split])))
+		if _, err := inc.RunRequests(reqs...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.Append(runs[split:]); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := inc.WriteJSONRequests(&got, reqs...); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("split %d: append path diverged from batch ingestion", split)
+		}
+	}
+}
+
 // TestEngineAppendMemoInvalidation pins the delta-aware invalidation:
 // an append only drops the memos whose declared input stage gained
 // rows, counted through the engine's hit/miss counters.

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 // postRun POSTs one result-file body to /v1/runs.
@@ -372,5 +373,62 @@ func TestLiveConcurrentAppendReads(t *testing.T) {
 	}
 	if s.Generation() != appends {
 		t.Errorf("generation = %d, want %d", s.Generation(), appends)
+	}
+}
+
+// TestLiveClusteringHistoryIndependent: a served mini-batch partition
+// is a function of (corpus, params) alone. Three live servers take the
+// same 100-run append and serve the same query at the new generation —
+// one had served it before the append, one never had, one had served
+// it and then churned its pool and memos with other scopes and
+// parameterizations. All three must serve the same body under the same
+// ETag, and that body must be the one a server built over the whole
+// corpus at once serves.
+func TestLiveClusteringHistoryIndependent(t *testing.T) {
+	runs, err := core.GenerateCorpus(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, extra := runs[:len(runs)-100], runs[len(runs)-100:]
+	flood := func(s *Server) {
+		for seed := 1; seed <= 10; seed++ {
+			get(t, s, fmt.Sprintf("/v1/analyses/clusters?algo=minibatch&k=2&seed=%d", seed))
+		}
+		for _, f := range []string{"vendor=amd", "vendor=intel", "year=2015-2023"} {
+			get(t, s, "/v1/analyses/clusters?algo=minibatch&k=2&filter="+f)
+		}
+	}
+	for _, q := range []string{
+		"/v1/analyses/clusters?algo=minibatch&k=3&batch=32",
+		"/v1/analyses/clusters?algo=minibatch&k=6",
+	} {
+		serveAfterAppend := func(before func(*Server)) *httptest.ResponseRecorder {
+			s := New(Config{Base: core.SliceSource(base), Live: true, PoolSize: 2})
+			before(s)
+			if _, err := s.AppendRuns(extra...); err != nil {
+				t.Fatal(err)
+			}
+			rec := get(t, s, q)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", q, rec.Code, rec.Body)
+			}
+			return rec
+		}
+		ask := func(s *Server) { get(t, s, q) }
+		ways := map[string]*httptest.ResponseRecorder{
+			"asked before the append": serveAfterAppend(ask),
+			"never asked before":      serveAfterAppend(func(*Server) {}),
+			"asked, then churned":     serveAfterAppend(func(s *Server) { ask(s); flood(s) }),
+		}
+		fresh := get(t, New(Config{Base: core.SliceSource(runs)}), q)
+		want, etag := fresh.Body.String(), ways["never asked before"].Header().Get("ETag")
+		for way, rec := range ways {
+			if rec.Body.String() != want {
+				t.Errorf("%s, %s: body differs from a server built over the whole corpus", q, way)
+			}
+			if got := rec.Header().Get("ETag"); got != etag {
+				t.Errorf("%s, %s: ETag %s, want %s", q, way, got, etag)
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	_ "repro/internal/cluster" // registers the clustering analyses served here
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -20,7 +19,6 @@ type counters struct {
 // gauges assembles the exposition's counter/gauge values. It is the one
 // place that reads the gate, pool, audit, trace and live counters.
 func (s *Server) gauges() obs.ServerGauges {
-	rings := cluster.MemoRingCounters()
 	pc := core.ParseCacheCounters()
 	g := obs.ServerGauges{
 		Requests:      s.metrics.Requests(),
@@ -42,14 +40,6 @@ func (s *Server) gauges() obs.ServerGauges {
 		PoolEvictionsBuildFailed:  s.pool.evictBuildFailed.Load(),
 		PoolEvictionsIngestFailed: s.pool.evictIngestFailed.Load(),
 
-		MemoRings: []obs.MemoRingGauge{
-			{Ring: "partition", Hits: rings.Partition.Hits,
-				Misses: rings.Partition.Misses, Evictions: rings.Partition.Evictions},
-			{Ring: "sweep", Hits: rings.Sweep.Hits,
-				Misses: rings.Sweep.Misses, Evictions: rings.Sweep.Evictions},
-			{Ring: "warm", Hits: rings.Warm.Hits,
-				Misses: rings.Warm.Misses, Evictions: rings.Warm.Evictions},
-		},
 		ParseCacheHits:          pc.Hits,
 		ParseCacheMisses:        pc.Misses,
 		ParseCacheInvalidations: pc.Invalidations,
