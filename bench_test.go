@@ -327,6 +327,92 @@ func BenchmarkClusterHAC(b *testing.B) {
 	}
 }
 
+// BenchmarkSilhouette: the silhouette of one k=6 k-means partition of
+// the full comparable corpus. resident scores a matrix whose pairwise
+// distances are already computed, as every request after the first
+// finds it in the serving path; fresh extracts a new matrix each
+// iteration, so the one-off distance build is charged too.
+func BenchmarkSilhouette(b *testing.B) {
+	ds := dataset(b)
+	m, err := cluster.Extract(ds.Comparable, cluster.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := cluster.KMeans(m, cluster.KMeansOptions{K: 6, Seed: 14})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("resident", func(b *testing.B) {
+		_ = cluster.Silhouette(m, res.Labels, res.K, 0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = cluster.Silhouette(m, res.Labels, res.K, 0)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fm, err := cluster.Extract(ds.Comparable, cluster.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = cluster.Silhouette(fm, res.Labels, res.K, 0)
+		}
+	})
+}
+
+// BenchmarkClusterSweep: the "cluster-sweep" kernel at kmax=5 (k-means
+// plus silhouette for k = 2…5) over the full comparable corpus, on a
+// freshly extracted matrix each iteration so the one-off distance
+// build is charged.
+func BenchmarkClusterSweep(b *testing.B) {
+	ds := dataset(b)
+	for i := 0; i < b.N; i++ {
+		m, err := cluster.Extract(ds.Comparable, cluster.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cluster.SweepK(m, 2, 5, 14, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterExploreCycle: one cycle of the explore workload's
+// clustering requests against a resident engine — a "clusters" and a
+// "cluster-profiles" request at k = 3…8 (stepping each iteration) and
+// a "cluster-sweep" at kmax=5, each with a seed never used before, so
+// every request misses the engine memo and computes its partition.
+func BenchmarkClusterExploreCycle(b *testing.B) {
+	eng := core.New(core.WithSource(core.SliceSource(dataset(b).Raw)))
+	request := func(name string, raw map[string]string) core.Request {
+		reg, ok := analysis.Lookup(name)
+		if !ok {
+			b.Fatalf("%s not registered", name)
+		}
+		params, err := reg.Params.Resolve(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return core.Request{Name: name, Params: params}
+	}
+	if _, err := eng.RunRequests(request("clusters", nil)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := fmt.Sprint(3 + i%6)
+		for j, req := range []core.Request{
+			request("clusters", map[string]string{"k": k, "seed": fmt.Sprint(1000 + 3*i)}),
+			request("cluster-profiles", map[string]string{"k": k, "seed": fmt.Sprint(1001 + 3*i)}),
+			request("cluster-sweep", map[string]string{"kmax": "5", "seed": fmt.Sprint(1002 + 3*i)}),
+		} {
+			if _, err := eng.RunRequests(req); err != nil {
+				b.Fatalf("request %d: %v", j, err)
+			}
+		}
+	}
+}
+
 func BenchmarkSERTSuite(b *testing.B) {
 	curve := power.Curve{
 		FullWatts: 500,

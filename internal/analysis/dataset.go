@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -101,14 +102,15 @@ type Dataset struct {
 }
 
 // derivedCap bounds the entries one dataset's derived-state memo keeps;
-// the oldest is evicted first and simply recomputes if asked again.
+// the least recently used is evicted first and simply recomputes if
+// asked again.
 const derivedCap = 8
 
 // datasetID is a dataset's identity for derived state: every Snapshot
 // gets a fresh one, every WithKernel copy shares its original's.
 type datasetID struct {
 	mu      sync.Mutex
-	derived []*derivedEntry // insertion order, at most derivedCap
+	derived []*derivedEntry // least recently used first, at most derivedCap
 }
 
 type derivedEntry struct {
@@ -119,11 +121,14 @@ type derivedEntry struct {
 }
 
 // Derive computes (or recalls) state derived from ds under key — a
-// clustering partition, a k sweep — so analyses that need the same
-// intermediate share one computation per dataset. Each key computes
-// once; concurrent callers of one key wait for that computation, and an
-// error is remembered like a value. f must be a pure function of
-// (ds, key): the memo lives and dies with the dataset, so a later
+// feature matrix, a clustering partition, a k sweep — so analyses that
+// need the same intermediate share one computation per dataset. Each
+// key computes once; concurrent callers of one key wait for that
+// computation, and an error is remembered like a value. Every call
+// marks its key most recently used, and a full memo evicts the least
+// recently used key, so state that every request reuses (the feature
+// matrix) outlives a stream of one-off keys. f must be a pure function
+// of (ds, key): the memo lives and dies with the dataset, so a later
 // corpus generation starts empty. A literally constructed dataset (no
 // builder identity) has no memo and just calls f.
 func Derive[T any](ds *Dataset, key string, f func() (T, error)) (T, error) {
@@ -133,19 +138,20 @@ func Derive[T any](ds *Dataset, key string, f func() (T, error)) (T, error) {
 	}
 	id.mu.Lock()
 	var e *derivedEntry
-	for _, c := range id.derived {
+	for i, c := range id.derived {
 		if c.key == key {
 			e = c
+			id.derived = slices.Delete(id.derived, i, i+1)
 			break
 		}
 	}
 	if e == nil {
 		e = &derivedEntry{key: key}
 		if len(id.derived) == derivedCap {
-			id.derived = append(id.derived[:0], id.derived[1:]...)
+			id.derived = slices.Delete(id.derived, 0, 1)
 		}
-		id.derived = append(id.derived, e)
 	}
+	id.derived = append(id.derived, e)
 	id.mu.Unlock()
 	e.once.Do(func() { e.val, e.err = f() })
 	v, _ := e.val.(T)

@@ -54,8 +54,9 @@ func derivedCounter(ds *Dataset, calls map[string]int) func(key string) {
 }
 
 // TestDeriveEvictsOldest: the memo holds derivedCap keys; one more
-// evicts the first inserted, which then recomputes, while the rest
-// stay resident.
+// evicts the least recently used — here the first inserted, never
+// asked for again — which then recomputes, while the rest stay
+// resident.
 func TestDeriveEvictsOldest(t *testing.T) {
 	ds := NewDatasetBuilder().Snapshot()
 	calls := map[string]int{}
@@ -71,6 +72,28 @@ func TestDeriveEvictsOldest(t *testing.T) {
 		if calls[key] != n {
 			t.Errorf("%s computed %d times, want %d", key, calls[key], n)
 		}
+	}
+}
+
+// TestDeriveEvictsLeastRecentlyUsed: a hit refreshes its key, so after
+// derivedCap inserts, a hit on key0 and one more insert, key1 (now the
+// least recently used) is the one evicted and key0 stays resident.
+func TestDeriveEvictsLeastRecentlyUsed(t *testing.T) {
+	ds := NewDatasetBuilder().Snapshot()
+	calls := map[string]int{}
+	derive := derivedCounter(ds, calls)
+	for i := 0; i < derivedCap; i++ {
+		derive("key" + strconv.Itoa(i))
+	}
+	derive("key0") // hit: key0 becomes most recently used
+	derive("key" + strconv.Itoa(derivedCap))
+	derive("key0")
+	derive("key1")
+	if calls["key0"] != 1 {
+		t.Errorf("key0 computed %d times, want 1 (a hit must keep it resident)", calls["key0"])
+	}
+	if calls["key1"] != 2 {
+		t.Errorf("key1 computed %d times, want 2 (least recently used, evicted)", calls["key1"])
 	}
 }
 

@@ -5,6 +5,13 @@
 // update (HAC), in the spirit of the phenotype and outbreak-detection
 // clustering the source paper's related work builds on.
 //
+// A Matrix of up to maxDistRows (1024) rows computes its pairwise row
+// distances once, on first use, and every Silhouette and HAC over it
+// reads that one table; the registered analyses memoize the matrix per
+// dataset and feature selection (analysis.Derive), so one table serves
+// every partition, every k of a sweep, and HAC. Larger matrices compute
+// each distance where it is needed, with identical results.
+//
 // Quality is judged by within-cluster SSE and the silhouette score
 // (Silhouette, SweepK, AutoK), and clusters are summarized into
 // human-readable phenotypes (Profiles): dominant vendor, median

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -82,6 +84,10 @@ type Options struct {
 // column per selected feature. Each column is z-scored over its finite
 // entries (stats.Standardize) and missing values are imputed at the
 // column mean — 0 in z-space — so every distance below is NaN-free.
+//
+// A matrix of at most maxDistRows rows also owns its pairwise row
+// distances, computed on first use and shared by every Silhouette and
+// HAC over it, so Rows must not change once a kernel has run.
 type Matrix struct {
 	// Features names the columns, in row order.
 	Features []string
@@ -89,6 +95,49 @@ type Matrix struct {
 	Runs []*model.Run
 	// Rows are the standardized feature vectors, one per run.
 	Rows [][]float64
+
+	distOnce sync.Once
+	dist     []float64 // see distances
+}
+
+// maxDistRows bounds the matrices that keep their pairwise distances:
+// 1024² float64s are 8 MiB. Larger matrices compute each distance where
+// it is needed, with the same stats.EuclideanDist and so the same bits.
+const maxDistRows = 1024
+
+// distances returns the pairwise Euclidean distances of the rows as one
+// flat n×n row-major slice (entry i*n+j), computed once and shared by
+// every caller; nil when the matrix has more than maxDistRows rows.
+// workers bounds the first call's build (0 = GOMAXPROCS). Callers must
+// not modify the slice.
+func (m *Matrix) distances(workers int) []float64 {
+	if len(m.Rows) > maxDistRows {
+		return nil
+	}
+	m.distOnce.Do(func() { m.dist = pairwise(m.Rows, workers) })
+	return m.dist
+}
+
+// pairwise computes the full symmetric distance matrix of rows, flat
+// and row-major. The lower triangle fills on the worker pool (disjoint
+// writes); the mirror pass is serial. stats.EuclideanDist is
+// bit-symmetric, so the mirror is exact.
+func pairwise(rows [][]float64, workers int) []float64 {
+	n := len(rows)
+	d := make([]float64, n*n)
+	_ = par.ForEach(n, workers, func(i int) error {
+		row := d[i*n : i*n+i]
+		for j := range row {
+			row[j] = stats.EuclideanDist(rows[i], rows[j])
+		}
+		return nil
+	})
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d[i*n+j] = d[j*n+i]
+		}
+	}
+	return d
 }
 
 // Extract builds the standardized feature matrix of runs. Unknown or

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-
-	"repro/internal/par"
-	"repro/internal/stats"
 )
 
 // Linkage selects how HAC measures the distance between clusters.
@@ -56,7 +54,8 @@ type HACOptions struct {
 	K int
 	// Cut is the dendrogram distance threshold; > 0 overrides K.
 	Cut float64
-	// Workers bounds the parallel distance-matrix build (0 = GOMAXPROCS).
+	// Workers bounds the parallel distance-matrix build, when HAC is
+	// the matrix's first kernel to need distances (0 = GOMAXPROCS).
 	Workers int
 	// OnMergeBatch, when non-nil, is called after every mergeBatchSize
 	// dendrogram merges (and once for the remainder) with the 1-based
@@ -95,9 +94,10 @@ type HACResult struct {
 // cluster and the closest pair merges until the stopping rule bites.
 // Cluster distances update through the Lance–Williams recurrence, so
 // single, complete, and average linkage share one O(n²)-memory
-// implementation. The pairwise distance matrix builds on the worker
-// pool; the merge loop itself is serial and index-ordered, hence
-// deterministic.
+// implementation. It starts from a copy of the matrix's shared pairwise
+// distances (built on the worker pool on first use, and left intact
+// for the next kernel); the merge loop itself is serial and
+// index-ordered, hence deterministic.
 func HAC(m *Matrix, opt HACOptions) (*HACResult, error) {
 	n := len(m.Rows)
 	if n == 0 {
@@ -115,21 +115,18 @@ func HAC(m *Matrix, opt HACOptions) (*HACResult, error) {
 		return nil, fmt.Errorf("cluster: unknown linkage %d", int(opt.Linkage))
 	}
 
-	// Full symmetric distance matrix; rows fill in parallel (disjoint
-	// writes), the mirror pass is serial.
+	// The merge loop rewrites distances in place, so it works on a
+	// private copy of the matrix's shared distances (or, above
+	// maxDistRows, on a table of its own).
+	flat := m.distances(opt.Workers)
+	if flat == nil {
+		flat = pairwise(m.Rows, opt.Workers)
+	} else {
+		flat = slices.Clone(flat)
+	}
 	dm := make([][]float64, n)
-	_ = par.ForEach(n, opt.Workers, func(i int) error {
-		row := make([]float64, n)
-		for j := 0; j < i; j++ {
-			row[j] = stats.EuclideanDist(m.Rows[i], m.Rows[j])
-		}
-		dm[i] = row
-		return nil
-	})
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dm[i][j] = dm[j][i]
-		}
+	for i := range dm {
+		dm[i] = flat[i*n : (i+1)*n]
 	}
 
 	active := make([]bool, n)

@@ -47,10 +47,13 @@ type KMeansResult struct {
 
 // KMeans partitions the matrix rows into K clusters: k-means++
 // initialization from the seeded RNG, then Lloyd iterations with the
-// assignment step fanned across the par.ForEach worker pool. The
-// result is deterministic for a given (matrix, options) pair no matter
-// the worker count: parallel workers write disjoint row slots and
-// every floating-point reduction runs in fixed row order.
+// assignment step fanned across the par.ForEach worker pool, whose
+// workers claim rows from a shared atomic counter (one atomic add per
+// row). It works from the rows alone and never needs the matrix's
+// pairwise distances. The result is deterministic for a given (matrix,
+// options) pair no matter the worker count: parallel workers write
+// disjoint row slots and every floating-point reduction runs in fixed
+// row order.
 func KMeans(m *Matrix, opt KMeansOptions) (*KMeansResult, error) {
 	n := len(m.Rows)
 	if opt.K < 1 || opt.K > n {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/par"
@@ -52,40 +53,70 @@ func SSE(m *Matrix, labels []int, cents [][]float64) float64 {
 // Silhouette is the mean silhouette coefficient of the partition: per
 // row, (b−a)/max(a,b) where a is the mean distance to the row's own
 // cluster and b the smallest mean distance to another cluster. Rows in
-// singleton clusters score 0, as do rows where both means vanish. The
-// per-row O(n) scans shard across the worker pool (disjoint writes),
-// and the final mean accumulates in row order, so the value is
-// schedule-independent. With fewer than two clusters the coefficient
-// is undefined and Silhouette returns 0.
+// singleton clusters score 0, as do rows where both means vanish. With
+// fewer than two clusters the coefficient is undefined and Silhouette
+// returns 0.
+//
+// Distances come from the matrix's shared distance table (computed
+// once per matrix), or are computed on the spot above maxDistRows.
+// Rows are counting-sorted by label once, and each cluster's distance
+// sum runs over its members in ascending row order — the order a
+// scatter over all rows would add them in — so the value is the same
+// to the bit either way. The per-row scans shard across the worker
+// pool (disjoint writes) and the final mean accumulates in row order,
+// so the value is schedule-independent too.
 func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
 	n := len(m.Rows)
 	if k < 2 || n < 2 {
 		return 0
 	}
-	sizes := make([]int, k)
+	// members[start[c]:start[c+1]] lists cluster c's rows, ascending.
+	start := make([]int, k+1)
 	for _, l := range labels {
-		sizes[l]++
+		start[l+1]++
 	}
+	for c := 0; c < k; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int, n)
+	fill := slices.Clone(start[:k])
+	for i, l := range labels {
+		members[fill[l]] = i
+		fill[l]++
+	}
+	dist := m.distances(workers)
 	scores := make([]float64, n)
 	_ = par.ForEach(n, workers, func(i int) error {
-		if sizes[labels[i]] < 2 {
+		own := labels[i]
+		if start[own+1]-start[own] < 2 {
 			return nil // singleton: s(i) = 0 by convention
 		}
-		sums := make([]float64, k)
-		for j, row := range m.Rows {
-			if j == i {
-				continue
-			}
-			sums[labels[j]] += stats.EuclideanDist(m.Rows[i], row)
+		var drow []float64
+		if dist != nil {
+			drow = dist[i*n : (i+1)*n]
 		}
-		own := labels[i]
-		a := sums[own] / float64(sizes[own]-1)
-		b := -1.0
+		a, b := 0.0, -1.0
 		for c := 0; c < k; c++ {
-			if c == own || sizes[c] == 0 {
+			rows := members[start[c]:start[c+1]]
+			if len(rows) == 0 {
 				continue
 			}
-			if mean := sums[c] / float64(sizes[c]); b < 0 || mean < b {
+			// Row i's distance to itself is +0, and adding +0 to a
+			// non-negative sum changes no bit, so its own cluster needs
+			// no skip.
+			var sum float64
+			if drow != nil {
+				for _, j := range rows {
+					sum += drow[j]
+				}
+			} else {
+				for _, j := range rows {
+					sum += stats.EuclideanDist(m.Rows[i], m.Rows[j])
+				}
+			}
+			if c == own {
+				a = sum / float64(len(rows)-1)
+			} else if mean := sum / float64(len(rows)); b < 0 || mean < b {
 				b = mean
 			}
 		}

@@ -196,6 +196,16 @@ func partitionFor(ds *analysis.Dataset, params analysis.Params) (*partition, err
 	})
 }
 
+// matrixFor extracts (or recalls) the feature matrix of the dataset's
+// comparable runs under the given feature selection. One matrix, and
+// with it one pairwise distance table, serves every partition, every k
+// of every sweep and every HAC over the dataset and selection.
+func matrixFor(ds *analysis.Dataset, features []string) (*Matrix, error) {
+	return analysis.Derive(ds, "matrix|"+strings.Join(features, ","), func() (*Matrix, error) {
+		return Extract(ds.Comparable, Options{Features: features})
+	})
+}
+
 // sweepFor computes (or recalls) the k sweep of m over [kmin, kmax]
 // under seed. Equal feature selections over one dataset produce equal
 // matrices (extraction is deterministic), so the memo keys by the
@@ -256,7 +266,7 @@ func hacObserver(ds *analysis.Dataset) func(batch, merges int, maxDist float64) 
 }
 
 func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, error) {
-	m, err := Extract(ds.Comparable, Options{Features: p.Strings("features")})
+	m, err := matrixFor(ds, p.Strings("features"))
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +421,7 @@ func init() {
 		"k sweep: within-cluster SSE and silhouette for k = 2…10 (elbow curve)",
 		sweepSchema(),
 		func(ds *analysis.Dataset, p analysis.Params) (any, error) {
-			m, err := Extract(ds.Comparable, Options{Features: p.Strings("features")})
+			m, err := matrixFor(ds, p.Strings("features"))
 			if err != nil {
 				return nil, err
 			}

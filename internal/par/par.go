@@ -7,11 +7,14 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForEach runs fn(0..n-1) on a bounded worker pool (workers <= 0 =
-// GOMAXPROCS). On failure it returns the error of the lowest failing
-// index — not whichever worker lost the race — so error reporting is
+// GOMAXPROCS). Workers claim indexes in ascending order from a shared
+// atomic counter, so handing out an index costs one atomic add. On
+// failure it returns the error of the lowest failing index — not
+// whichever worker lost the race — so error reporting is
 // deterministic. All workers drain before returning; once an error at
 // index i is recorded, work at indexes above i may be skipped (indexes
 // below i still run, in case one of them fails too).
@@ -34,43 +37,39 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	var (
-		mu       sync.Mutex
-		firstIdx = -1
+		next     atomic.Int64 // the next index to hand out
+		lowest   atomic.Int64 // the lowest failing index so far, n if none
+		mu       sync.Mutex   // guards firstErr
 		firstErr error
 	)
+	lowest.Store(int64(n))
 	record := func(i int, err error) {
 		mu.Lock()
-		if firstIdx == -1 || i < firstIdx {
-			firstIdx, firstErr = i, err
+		if int64(i) < lowest.Load() {
+			lowest.Store(int64(i))
+			firstErr = err
 		}
 		mu.Unlock()
 	}
-	skippable := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstIdx != -1 && i > firstIdx
-	}
-	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		//lint:allow nodeterminism the pool reports the lowest failing index, not the race winner; callers slot results by index
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if skippable(i) {
-					continue
+			for {
+				// Indexes are claimed in ascending order and lowest only
+				// falls, so once a claim passes it every later one does.
+				i := next.Add(1) - 1
+				if i >= int64(n) || i > lowest.Load() {
+					return
 				}
-				if err := fn(i); err != nil {
-					record(i, err)
+				if err := fn(int(i)); err != nil {
+					record(int(i), err)
 				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	return firstErr
 }

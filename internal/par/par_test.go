@@ -60,3 +60,51 @@ func TestForEachEmptyAndSequential(t *testing.T) {
 		t.Errorf("sequential error = %v", err)
 	}
 }
+
+// TestForEachRunsEveryIndexBelowFailure pins the documented contract:
+// a failure at index i may skip work above i, but every index below i
+// still runs, at any worker count.
+func TestForEachRunsEveryIndexBelowFailure(t *testing.T) {
+	const n, fail = 200, 123
+	wantErr := errors.New("fail")
+	for _, workers := range []int{1, 2, 3, 8} {
+		for trial := 0; trial < 20; trial++ {
+			var ran [n]atomic.Bool
+			err := ForEach(n, workers, func(i int) error {
+				ran[i].Store(true)
+				if i == fail {
+					return wantErr
+				}
+				return nil
+			})
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("workers=%d: err = %v, want %v", workers, err, wantErr)
+			}
+			for i := 0; i <= fail; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d trial %d: index %d below the failure never ran",
+						workers, trial, i)
+				}
+			}
+		}
+	}
+}
+
+// sink keeps BenchmarkForEach's items from being optimized away.
+var sink [676]float64
+
+// BenchmarkForEach isolates dispatch overhead: 676 items (one k-means
+// assignment round over the comparable corpus) of roughly 50 ns each.
+func BenchmarkForEach(b *testing.B) {
+	item := func(i int) error {
+		x := float64(i)
+		for j := 0; j < 40; j++ {
+			x = x*1.000001 + 0.5
+		}
+		sink[i] = x
+		return nil
+	}
+	for i := 0; i < b.N; i++ {
+		_ = ForEach(len(sink), 0, item)
+	}
+}
