@@ -106,7 +106,7 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := KMeans(m, KMeansOptions{K: 2, Seed: 1, Workers: 4})
+	res, err := KMeans(m, KMeansOptions{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,29 +129,6 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 	}
 	if res.SSE <= 0 || math.IsNaN(res.SSE) {
 		t.Errorf("SSE = %v", res.SSE)
-	}
-}
-
-func TestKMeansDeterministicAcrossWorkers(t *testing.T) {
-	runs := twoBlobs(8)
-	m, err := Extract(runs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *KMeansResult
-	for _, workers := range []int{1, 2, 8} {
-		res, err := KMeans(m, KMeansOptions{K: 3, Seed: 42, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Labels, first.Labels) || res.SSE != first.SSE {
-			t.Errorf("workers=%d diverged: labels %v vs %v, SSE %v vs %v",
-				workers, res.Labels, first.Labels, res.SSE, first.SSE)
-		}
 	}
 }
 

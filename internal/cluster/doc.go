@@ -10,7 +10,10 @@
 // reads that one table; the registered analyses memoize the matrix per
 // dataset and feature selection (analysis.Derive), so one table serves
 // every partition, every k of a sweep, and HAC. Larger matrices compute
-// each distance where it is needed, with identical results.
+// each distance where it is needed, with identical results. Silhouette
+// sums four rows of the table side by side. KMeans keeps Hamerly bounds
+// per row and rescans only the rows they cannot prove stay put; its
+// result is exactly that of a full scan every round.
 //
 // Quality is judged by within-cluster SSE and the silhouette score
 // (Silhouette, SweepK, AutoK), and clusters are summarized into

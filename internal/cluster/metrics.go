@@ -62,9 +62,9 @@ func SSE(m *Matrix, labels []int, cents [][]float64) float64 {
 // Rows are counting-sorted by label once, and each cluster's distance
 // sum runs over its members in ascending row order — the order a
 // scatter over all rows would add them in — so the value is the same
-// to the bit either way. The per-row scans shard across the worker
-// pool (disjoint writes) and the final mean accumulates in row order,
-// so the value is schedule-independent too.
+// to the bit either way. Rows are scored in blocks of four that shard
+// across the worker pool (disjoint writes), and the final mean
+// accumulates in row order, so the value is schedule-independent too.
 func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
 	n := len(m.Rows)
 	if k < 2 || n < 2 {
@@ -86,42 +86,69 @@ func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
 	}
 	dist := m.distances(workers)
 	scores := make([]float64, n)
-	_ = par.ForEach(n, workers, func(i int) error {
-		own := labels[i]
-		if start[own+1]-start[own] < 2 {
-			return nil // singleton: s(i) = 0 by convention
+	singleton := func(i int) bool { return start[labels[i]+1]-start[labels[i]] < 2 }
+	// Each index scores a block of silhouetteBlock rows. Over a resident
+	// table the block's rows sum each cluster side by side, one
+	// accumulator per row, so the additions of different rows overlap
+	// instead of waiting on one another; each row still adds its
+	// cluster's members in ascending order. Row i's distance to itself
+	// is +0, and adding +0 to a non-negative sum changes no bit, so its
+	// own cluster needs no skip.
+	_ = par.ForEach((n+silhouetteBlock-1)/silhouetteBlock, workers, func(blk int) error {
+		lo := blk * silhouetteBlock
+		if dist == nil || lo+silhouetteBlock > n {
+			for i := lo; i < min(lo+silhouetteBlock, n); i++ {
+				if singleton(i) {
+					continue // s(i) = 0 by convention
+				}
+				a, b := 0.0, -1.0
+				for c := 0; c < k; c++ {
+					rows := members[start[c]:start[c+1]]
+					if len(rows) == 0 {
+						continue
+					}
+					var sum float64
+					if dist != nil {
+						drow := dist[i*n : (i+1)*n]
+						for _, j := range rows {
+							sum += drow[j]
+						}
+					} else {
+						for _, j := range rows {
+							sum += stats.EuclideanDist(m.Rows[i], m.Rows[j])
+						}
+					}
+					foldMean(labels[i], c, len(rows), sum, &a, &b)
+				}
+				scores[i] = silScore(a, b)
+			}
+			return nil
 		}
-		var drow []float64
-		if dist != nil {
-			drow = dist[i*n : (i+1)*n]
-		}
-		a, b := 0.0, -1.0
+		d0, d1 := dist[lo*n:(lo+1)*n], dist[(lo+1)*n:(lo+2)*n]
+		d2, d3 := dist[(lo+2)*n:(lo+3)*n], dist[(lo+3)*n:(lo+4)*n]
+		var a [silhouetteBlock]float64
+		b := [silhouetteBlock]float64{-1, -1, -1, -1}
 		for c := 0; c < k; c++ {
 			rows := members[start[c]:start[c+1]]
 			if len(rows) == 0 {
 				continue
 			}
-			// Row i's distance to itself is +0, and adding +0 to a
-			// non-negative sum changes no bit, so its own cluster needs
-			// no skip.
-			var sum float64
-			if drow != nil {
-				for _, j := range rows {
-					sum += drow[j]
-				}
-			} else {
-				for _, j := range rows {
-					sum += stats.EuclideanDist(m.Rows[i], m.Rows[j])
-				}
+			var s0, s1, s2, s3 float64
+			for _, j := range rows {
+				s0 += d0[j]
+				s1 += d1[j]
+				s2 += d2[j]
+				s3 += d3[j]
 			}
-			if c == own {
-				a = sum / float64(len(rows)-1)
-			} else if mean := sum / float64(len(rows)); b < 0 || mean < b {
-				b = mean
-			}
+			foldMean(labels[lo], c, len(rows), s0, &a[0], &b[0])
+			foldMean(labels[lo+1], c, len(rows), s1, &a[1], &b[1])
+			foldMean(labels[lo+2], c, len(rows), s2, &a[2], &b[2])
+			foldMean(labels[lo+3], c, len(rows), s3, &a[3], &b[3])
 		}
-		if denom := max(a, b); denom > 0 {
-			scores[i] = (b - a) / denom
+		for r := range a {
+			if !singleton(lo + r) {
+				scores[lo+r] = silScore(a[r], b[r])
+			}
 		}
 		return nil
 	})
@@ -130,6 +157,29 @@ func Silhouette(m *Matrix, labels []int, k, workers int) float64 {
 		sum += s
 	}
 	return sum / float64(n)
+}
+
+// silhouetteBlock is how many rows one Silhouette work item scores.
+const silhouetteBlock = 4
+
+// foldMean folds one row's distance sum to cluster c (size members)
+// into the row's silhouette terms: a, the mean distance to the rest of
+// its own cluster, and b, the smallest mean distance to another (−1
+// until one is seen).
+func foldMean(own, c, size int, sum float64, a, b *float64) {
+	if c == own {
+		*a = sum / float64(size-1)
+	} else if mean := sum / float64(size); *b < 0 || mean < *b {
+		*b = mean
+	}
+}
+
+// silScore is the silhouette (b−a)/max(a,b), 0 where both vanish.
+func silScore(a, b float64) float64 {
+	if denom := max(a, b); denom > 0 {
+		return (b - a) / denom
+	}
+	return 0
 }
 
 // SweepPoint is one row of the k sweep: the elbow curve (SSE) plus the
@@ -150,7 +200,7 @@ func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, e
 	}
 	points := make([]SweepPoint, 0, kmax-kmin+1)
 	for k := kmin; k <= kmax; k++ {
-		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed, Workers: workers})
+		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -304,7 +304,7 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 				return nil, err
 			}
 			k = AutoK(sweep)
-			res, err := KMeans(m, KMeansOptions{K: k, Seed: seed, Workers: workers,
+			res, err := KMeans(m, KMeansOptions{K: k, Seed: seed,
 				OnIteration: kmeansObserver(ds)})
 			if err != nil {
 				return nil, err
@@ -319,7 +319,7 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 			}
 			return part, nil
 		}
-		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed, Workers: workers,
+		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed,
 			OnIteration: kmeansObserver(ds)})
 		if err != nil {
 			return nil, err

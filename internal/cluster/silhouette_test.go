@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,9 +80,12 @@ type labelSet struct {
 
 // TestSilhouetteExact: on the synth corpus, Silhouette over the shared
 // distance table equals the scatter-loop reference exactly, for k-means
-// partitions at k = 2…8 under three seeds and for HAC under every
-// linkage, at worker counts 1, 2 and 8 (each on a fresh matrix, so the
-// table build itself runs at that worker count).
+// partitions at k = 2…8 under three seeds, for HAC under every linkage
+// and for a labeling that leaves a cluster id empty, at worker counts
+// 1, 2 and 8 (each on a fresh matrix, so the table build itself runs at
+// that worker count). The corpus's 676 rows fill whole blocks of four,
+// so prefixes of 673, 674 and 675 rows are scored too: they end in a
+// partial block.
 func TestSilhouetteExact(t *testing.T) {
 	base := synthMatrix(t)
 	var sets []labelSet
@@ -101,15 +105,33 @@ func TestSilhouetteExact(t *testing.T) {
 		}
 		sets = append(sets, labelSet{"hac/" + lk.String(), res.K, res.Labels})
 	}
-	want := make([]float64, len(sets))
-	for i, s := range sets {
-		want[i] = scatterSilhouette(base, s.labels, s.k)
+	// k-means k=3 relabeled 0, 1, 3 under k = 4: cluster 2 has no rows.
+	km, err := KMeans(base, KMeansOptions{K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		m := synthMatrix(t)
+	gap := slices.Clone(km.Labels)
+	for i, l := range gap {
+		if l == 2 {
+			gap[i] = 3
+		}
+	}
+	sets = append(sets, labelSet{"kmeans k=3 as k=4, cluster 2 empty", 4, gap})
+	if len(base.Rows)%silhouetteBlock != 0 {
+		t.Fatalf("corpus has %d rows; the prefixes below assume a multiple of %d", len(base.Rows), silhouetteBlock)
+	}
+	for _, n := range []int{len(base.Rows), 675, 674, 673} {
+		prefix := func() *Matrix { return &Matrix{Features: base.Features, Rows: base.Rows[:n]} }
+		want := make([]float64, len(sets))
 		for i, s := range sets {
-			if got := Silhouette(m, s.labels, s.k, workers); got != want[i] {
-				t.Errorf("workers=%d %s: Silhouette = %v, reference %v", workers, s.name, got, want[i])
+			want[i] = scatterSilhouette(prefix(), s.labels[:n], s.k)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			m := prefix()
+			for i, s := range sets {
+				if got := Silhouette(m, s.labels[:n], s.k, workers); got != want[i] {
+					t.Errorf("rows=%d workers=%d %s: Silhouette = %v, reference %v", n, workers, s.name, got, want[i])
+				}
 			}
 		}
 	}

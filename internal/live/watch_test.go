@@ -204,16 +204,23 @@ func TestRunnerErrorDoesNotStop(t *testing.T) {
 	ticks := make(chan time.Time)
 	var errs []error
 	var deltas []Delta
+	// The tick send returns once Run has the tick, before it polls, so
+	// the directory may only appear after OnError has seen the failure.
+	polled := make(chan struct{}, 1)
 	done := make(chan error, 1)
 	r := &Runner{
 		W:       w,
 		Ticks:   ticks,
 		OnDelta: func(d Delta) { deltas = append(deltas, d) },
-		OnError: func(err error) { errs = append(errs, err) },
+		OnError: func(err error) {
+			errs = append(errs, err)
+			polled <- struct{}{}
+		},
 	}
 	go func() { done <- r.Run(context.Background()) }()
 
 	ticks <- time.Time{} // directory missing: error, keep going
+	<-polled
 	if err := os.Mkdir(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
