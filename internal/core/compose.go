@@ -160,17 +160,15 @@ func filterClause(key, val string) (func(*model.Run) bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(r *model.Run) bool {
-			return want[strings.ToLower(r.CPUVendor.String())]
-		}, nil
+		hit := namesIn(want, model.VendorUnknown, model.VendorOther)
+		return func(r *model.Run) bool { return hit[r.CPUVendor.String()] }, nil
 	case "os":
 		want, err := filterAlternatives(key, val)
 		if err != nil {
 			return nil, err
 		}
-		return func(r *model.Run) bool {
-			return want[strings.ToLower(r.OSFamily.String())]
-		}, nil
+		hit := namesIn(want, model.OSUnknown, model.OSOther)
+		return func(r *model.Run) bool { return hit[r.OSFamily.String()] }, nil
 	case "year":
 		lo, hi, err := parseYearRange(val)
 		if err != nil {
@@ -204,6 +202,22 @@ func filterAlternatives(key, val string) (map[string]bool, error) {
 		return nil, fmt.Errorf("core: filter %s=: empty value", key)
 	}
 	return want, nil
+}
+
+// namesIn maps the String() of each value lo..hi to whether its
+// lower-cased form is in want, deciding membership once per filter.
+// String() has a closed set of outputs — a value outside lo..hi prints
+// as lo's "Unknown" — so looking it up verbatim gives the lower-cased
+// answer for every value and allocates nothing per run.
+func namesIn[E interface {
+	~int
+	String() string
+}](want map[string]bool, lo, hi E) map[string]bool {
+	hit := map[string]bool{}
+	for v := lo; v <= hi; v++ {
+		hit[v.String()] = want[strings.ToLower(v.String())]
+	}
+	return hit
 }
 
 // parseYearRange parses "2020" or "2018-2022" (inclusive).

@@ -158,6 +158,39 @@ func TestParseFilter(t *testing.T) {
 	}
 }
 
+// TestFilterMembershipClosedSet: a vendor= or os= predicate decides
+// membership once per name at compile time, so for every value — out
+// of range ones included, which print as "Unknown" — it must agree with
+// a lower-cased lookup of the value's name, and allocate nothing.
+func TestFilterMembershipClosedSet(t *testing.T) {
+	for _, val := range []string{"AMD|intel", "Other", "unknown", "macos", "Intel|Linux|OTHER"} {
+		want, err := filterAlternatives("test", val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vendorKeep, err := ParseFilter("vendor=" + val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		osKeep, err := ParseFilter("os=" + val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := -1; v <= 8; v++ {
+			r := &model.Run{CPUVendor: model.CPUVendor(v), OSFamily: model.OSFamily(v)}
+			if got, w := vendorKeep(r), want[strings.ToLower(r.CPUVendor.String())]; got != w {
+				t.Errorf("vendor=%s on CPUVendor(%d) %q = %v, want %v", val, v, r.CPUVendor, got, w)
+			}
+			if got, w := osKeep(r), want[strings.ToLower(r.OSFamily.String())]; got != w {
+				t.Errorf("os=%s on OSFamily(%d) %q = %v, want %v", val, v, r.OSFamily, got, w)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { vendorKeep(r); osKeep(r) }); allocs != 0 {
+				t.Errorf("vendor=/os=%s on value %d: %v allocs per call, want 0", val, v, allocs)
+			}
+		}
+	}
+}
+
 // TestParseFilterErrorMessages: each error path names what went wrong
 // precisely enough to fix the expression — these strings surface
 // verbatim in CLI fatal messages and HTTP 400 bodies.

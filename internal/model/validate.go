@@ -156,33 +156,21 @@ func ambiguousCPUName(name string) bool {
 	return containsWord(name, "or") || containsWord(name, "/")
 }
 
+// containsWord reports whether the non-empty w is one of s's words: the
+// maximal runs of bytes other than ' ' and '\t'. It scans s in place,
+// so classifying a run allocates nothing.
 func containsWord(s, w string) bool {
-	fields := splitWords(s)
-	for _, f := range fields {
-		if f == w {
-			return true
-		}
-	}
-	return false
-}
-
-func splitWords(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s {
-		if r == ' ' || r == '\t' {
-			if cur != "" {
-				out = append(out, cur)
-				cur = ""
-			}
+	start := 0
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && s[i] != ' ' && s[i] != '\t' {
 			continue
 		}
-		cur += string(r)
+		if s[start:i] == w {
+			return true
+		}
+		start = i + 1
 	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
+	return false
 }
 
 func checkTopology(r *Run) RejectReason {

@@ -133,3 +133,47 @@ func TestReasonStrings(t *testing.T) {
 		t.Errorf("unknown reason string = %q", got)
 	}
 }
+
+// referenceSplitWords is the word split ambiguousCPUName used before it
+// scanned in place: a rune loop that builds each word by concatenation,
+// so an invalid byte becomes U+FFFD inside its word.
+func referenceSplitWords(s string) []string {
+	var out []string
+	cur := ""
+	for _, r := range s {
+		if r == ' ' || r == '\t' {
+			if cur != "" {
+				out = append(out, cur)
+				cur = ""
+			}
+			continue
+		}
+		cur += string(r)
+	}
+	if cur != "" {
+		out = append(out, cur)
+	}
+	return out
+}
+
+func referenceContainsWord(s, w string) bool {
+	for _, f := range referenceSplitWords(s) {
+		if f == w {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzAmbiguousCPUName: the in-place word scan finds "or" and "/"
+// exactly where the rune-loop split did, on any string, invalid UTF-8
+// included.
+func FuzzAmbiguousCPUName(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string) {
+		for _, w := range []string{"or", "/"} {
+			if got, want := containsWord(name, w), referenceContainsWord(name, w); got != want {
+				t.Fatalf("containsWord(%q, %q) = %v, rune-loop split says %v", name, w, got, want)
+			}
+		}
+	})
+}

@@ -249,7 +249,9 @@ func (p *enginePool) construct(ent *poolEntry, root *poolEntry) error {
 		ds, _ := root.eng.Dataset() // origin ingested it
 		ent.fingerprint = core.Digest("filter", ent.scope, root.fingerprint)
 		ent.gen = root.gen
-		src = core.FilterSource{Inner: core.SliceSource(keepRuns(ds.Raw, ent.keep)), Keep: ent.keep, Desc: ent.scope}
+		// keepRuns already applied the predicate, so Keep stays nil and
+		// no run is tested twice; Desc alone names the scope in Name().
+		src = core.FilterSource{Inner: core.SliceSource(keepRuns(ds.Raw, ent.keep)), Desc: ent.scope}
 	}
 	ent.eng = core.New(core.WithSource(src), core.WithWorkers(p.workers),
 		core.WithHook(p.observe))
