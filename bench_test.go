@@ -1,6 +1,7 @@
 // Package repro's benchmark harness regenerates every table and figure
-// of the paper (see DESIGN.md §4 for the experiment index). Each
-// benchmark prints, once, the rows/series the paper reports — run with
+// of the paper; each section header labels its experiments (S: an
+// in-text statistic, F: a figure, T: a table). Each benchmark prints,
+// once, the rows/series the paper reports — run with
 //
 //	go test -bench=. -benchmem
 //
@@ -17,7 +18,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
@@ -26,13 +26,9 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/evlog"
 	"repro/internal/parser"
-	"repro/internal/power"
-	"repro/internal/ptd"
 	"repro/internal/report"
-	"repro/internal/sert"
 	"repro/internal/serve"
 	"repro/internal/speccpu"
-	"repro/internal/ssj"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
@@ -227,7 +223,7 @@ func BenchmarkRecentFeatureStats(b *testing.B) {
 	}
 }
 
-// --- Extended analyses: trend tests, EP, confounding, SERT -------------------
+// --- Extended analyses: trend tests, EP, confounding -------------------------
 
 func BenchmarkPaperTrendTests(b *testing.B) {
 	ds := dataset(b)
@@ -413,23 +409,10 @@ func BenchmarkClusterExploreCycle(b *testing.B) {
 	}
 }
 
-func BenchmarkSERTSuite(b *testing.B) {
-	curve := power.Curve{
-		FullWatts: 500,
-		Prof: power.Profile{IdleFrac: 0.15, LowIntercept: 0.25, Beta: 0.85,
-			TurboWeight: 0.25, TurboGamma: 3},
-	}
-	cfg := sert.DefaultConfig(2)
-	cfg.IntervalDuration = 10 * time.Millisecond
-	cfg.Intensities = []float64{1.0, 0.5}
-	for i := 0; i < b.N; i++ {
-		if _, err := sert.Run(cfg, sert.DefaultSuite(), ssj.NewSimMeter(curve, 0, 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md §5) -------------------------------------------------
+// --- Ablations ---------------------------------------------------------------
+//
+// Each D-labelled benchmark times two or more ways of doing the same work;
+// its comment names the variants it compares.
 
 // BenchmarkAblationRoundTrip (D1): analysing in-memory runs vs rendering
 // to the result-file format and re-parsing first.
@@ -503,8 +486,8 @@ func BenchmarkAblationExtrapolationOrder(b *testing.B) {
 	})
 }
 
-// BenchmarkCorpusParallelism (D4): corpus render+write throughput as the
-// worker count scales.
+// BenchmarkCorpusParallelism (D4): corpus render+write throughput at
+// 1, 2, 4 and 8 workers.
 func BenchmarkCorpusParallelism(b *testing.B) {
 	ds := dataset(b)
 	sample := ds.Raw[:256]
@@ -931,52 +914,6 @@ func BenchmarkParseResultFile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationMeterPath (D5): one measured ssj interval through the
-// in-process meter vs the ptdaemon TCP protocol.
-func BenchmarkAblationMeterPath(b *testing.B) {
-	curve := power.Curve{
-		FullWatts: 500,
-		Prof: power.Profile{IdleFrac: 0.2, LowIntercept: 0.3, Beta: 0.85,
-			TurboWeight: 0.25, TurboGamma: 3},
-	}
-	runOne := func(b *testing.B, meter ssj.Meter) {
-		cfg := ssj.DefaultConfig(2)
-		cfg.IntervalDuration = 5 * time.Millisecond
-		cfg.CalibrationIntervals = 1
-		cfg.LoadLevels = []int{100}
-		engine, err := ssj.NewEngine(cfg, meter)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("in-process", func(b *testing.B) {
-		runOne(b, ssj.NewSimMeter(curve, 0, 1))
-	})
-	b.Run("ptd-tcp", func(b *testing.B) {
-		var tracker ptd.LoadTracker
-		server, err := ptd.NewServer(ptd.CurveSource(curve, &tracker), time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		addr, err := server.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer server.Close()
-		client, err := ptd.Dial(addr, &tracker, time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer client.Close()
-		runOne(b, client)
-	})
 }
 
 // TestMain keeps benchmark output and the normal test runner compatible.

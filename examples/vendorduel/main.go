@@ -1,8 +1,6 @@
 // Vendorduel reproduces the paper's Table I: the Lenovo SR650 V3
 // (2× Intel Xeon Platinum 8490H) against the SR645 V3 (2× AMD EPYC
-// 9754) across SPEC Power and SPEC CPU 2017 Rate — and then runs the
-// *actual* ssj workload engine over the ptdaemon TCP protocol for both
-// systems to demonstrate the live measurement path.
+// 9754) across SPEC Power and SPEC CPU 2017 Rate.
 //
 //	go run ./examples/vendorduel
 package main
@@ -10,12 +8,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
-	"repro/internal/power"
-	"repro/internal/ptd"
 	"repro/internal/speccpu"
-	"repro/internal/ssj"
 )
 
 func main() {
@@ -36,63 +30,5 @@ func main() {
 		fmt.Printf("%-36s %10.0f %10.0f %8.2f %8.2f\n",
 			r.Benchmark, r.Intel, r.AMD, r.Factor, paper[i])
 	}
-
-	// Live measurement path: run the ssj engine for each system with its
-	// power curve behind a ptdaemon server, and compare the measured
-	// relative efficiency at 70 % load.
-	fmt.Println("\nLive ssj runs through the ptdaemon protocol:")
-	for _, sys := range []speccpu.DuelSystem{intelSys, amdSys} {
-		curve, err := power.NewCurve(sys.CPU, power.SystemConfig{
-			Sockets: sys.Sockets, MemGB: sys.MemGB,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var tracker ptd.LoadTracker
-		server, err := ptd.NewServer(ptd.CurveSource(curve, &tracker), 2*time.Millisecond)
-		if err != nil {
-			log.Fatal(err)
-		}
-		addr, err := server.Listen("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		meter, err := ptd.Dial(addr, &tracker, time.Second)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		cfg := ssj.DefaultConfig(4)
-		cfg.IntervalDuration = 60 * time.Millisecond
-		cfg.LoadLevels = []int{100, 70, 40, 10}
-		engine, err := ssj.NewEngine(cfg, meter)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := engine.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		full, _ := pointAt(res, 100)
-		p70, _ := pointAt(res, 70)
-		idle, _ := pointAt(res, 0)
-		relEff := (p70.ActualOps / p70.AvgPower) / (full.ActualOps / full.AvgPower)
-		fmt.Printf("  %-40s full %6.0f W | 70%% %6.0f W (rel eff %.2f) | idle %5.0f W\n",
-			sys.Label, full.AvgPower, p70.AvgPower, relEff, idle.AvgPower)
-
-		meter.Close()
-		server.Close()
-	}
 	fmt.Println("\n(integer-heavy ssj favours AMD ×≈2.1; AVX-512 halves the gap for FP rate)")
-}
-
-func pointAt(res *ssj.Result, load int) (p struct {
-	ActualOps, AvgPower float64
-}, ok bool) {
-	for _, lp := range res.Points {
-		if lp.TargetLoad == load {
-			return struct{ ActualOps, AvgPower float64 }{lp.ActualOps, lp.AvgPower}, true
-		}
-	}
-	return p, false
 }

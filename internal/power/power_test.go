@@ -201,26 +201,18 @@ func TestFullLoadWatts(t *testing.T) {
 	}
 }
 
-func TestNewCurve(t *testing.T) {
+func TestSystemConfigValidate(t *testing.T) {
 	spec, err := catalog.Find("EPYC 7742")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCurve(spec, SystemConfig{Sockets: 2, MemGB: 256, PSUWatts: 1100})
-	if err != nil {
-		t.Fatal(err)
+	if err := (SystemConfig{Sockets: 2, MemGB: 256, PSUWatts: 1100}).Validate(spec); err != nil {
+		t.Errorf("2-socket config: %v", err)
 	}
-	if got := c.At(1); !almostEq(got, c.FullWatts, 1e-9) {
-		t.Errorf("At(1) = %v, want FullWatts %v", got, c.FullWatts)
-	}
-	if c.At(0) >= c.At(0.1) {
-		t.Error("idle should draw less than 10% load")
-	}
-	// Config validation.
-	if _, err := NewCurve(spec, SystemConfig{Sockets: 8, MemGB: 64}); err == nil {
+	if err := (SystemConfig{Sockets: 8, MemGB: 64}).Validate(spec); err == nil {
 		t.Error("8 sockets should exceed MaxSockets")
 	}
-	if _, err := NewCurve(spec, SystemConfig{Sockets: 1, MemGB: 0}); err == nil {
+	if err := (SystemConfig{Sockets: 1, MemGB: 0}).Validate(spec); err == nil {
 		t.Error("0 GB memory should error")
 	}
 }

@@ -81,14 +81,3 @@ func (p Profile) IdleQuotient() float64 {
 	}
 	return p.ExtrapolatedIdleRel() / p.IdleFrac
 }
-
-// Curve binds a Profile to an absolute full-load power.
-type Curve struct {
-	FullWatts float64
-	Prof      Profile
-}
-
-// At returns absolute power at utilization u.
-func (c Curve) At(u float64) float64 {
-	return c.FullWatts * c.Prof.Rel(u)
-}

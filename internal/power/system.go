@@ -74,21 +74,3 @@ func FullLoadWatts(spec catalog.CPUSpec, cfg SystemConfig) float64 {
 		platformWatts(spec.Avail.Year)
 	return dc * (1 + psuLossFrac)
 }
-
-// NewCurve builds the absolute power curve for a system: the trend
-// profile for the CPU's vendor and availability date, scaled by the
-// configuration's full-load power. Callers that need run-to-run spread
-// perturb the returned curve's profile.
-func NewCurve(spec catalog.CPUSpec, cfg SystemConfig) (Curve, error) {
-	if err := cfg.Validate(spec); err != nil {
-		return Curve{}, err
-	}
-	prof := TrendProfile(spec.Vendor, spec.Avail.Frac())
-	if err := prof.Validate(); err != nil {
-		return Curve{}, fmt.Errorf("power: trend profile for %s: %w", spec.Name, err)
-	}
-	return Curve{
-		FullWatts: FullLoadWatts(spec, cfg),
-		Prof:      prof,
-	}, nil
-}
