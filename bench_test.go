@@ -10,12 +10,14 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -287,10 +289,13 @@ func BenchmarkClusterKMeans(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sum := cluster.NewResult("kmeans++", m, res.Labels, res.K, 0)
+	sizes := make([]int, res.K)
+	for _, l := range res.Labels {
+		sizes[l]++
+	}
 	printOnce("cluster-kmeans", fmt.Sprintf(
 		"\n[CL] k-means++ k=%d on %d runs: SSE=%.1f silhouette=%.3f sizes=%v\n",
-		sum.K, len(m.Rows), sum.SSE, sum.Silhouette, sum.Sizes))
+		res.K, len(m.Rows), res.SSE, cluster.Silhouette(m, res.Labels, res.K, 0), sizes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.KMeans(m, opt); err != nil {
@@ -357,17 +362,76 @@ func BenchmarkSilhouette(b *testing.B) {
 }
 
 // BenchmarkClusterSweep: the "cluster-sweep" kernel at kmax=5 (k-means
-// plus silhouette for k = 2…5) over the full comparable corpus, on a
-// freshly extracted matrix each iteration so the one-off distance
-// build is charged.
+// plus silhouette for k = 2…5) over the full comparable corpus.
+// resident sweeps a matrix whose pairwise distances are already
+// computed, as every sweep after a scope's first finds it in the
+// serving path, so it times the sweep alone; fresh extracts a new
+// matrix each iteration, so the one-off distance build is charged too.
 func BenchmarkClusterSweep(b *testing.B) {
 	ds := dataset(b)
-	for i := 0; i < b.N; i++ {
+	b.Run("resident", func(b *testing.B) {
 		m, err := cluster.Extract(ds.Comparable, cluster.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := cluster.SweepK(m, 2, 5, 14, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.SweepK(m, 2, 5, 14, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m, err := cluster.Extract(ds.Comparable, cluster.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cluster.SweepK(m, 2, 5, 14, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// clusterEngine returns an engine over the benchmark corpus that has
+// served one default "clusters" request, so its dataset, feature matrix
+// and distance table are resident.
+func clusterEngine(b *testing.B) *core.Engine {
+	eng := core.New(core.WithSource(core.SliceSource(dataset(b).Raw)))
+	if _, err := eng.RunRequests(analysisRequest(b, "clusters", nil)); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
+// analysisRequest resolves raw parameters against the named analysis's
+// schema.
+func analysisRequest(b *testing.B, name string, raw map[string]string) core.Request {
+	reg, ok := analysis.Lookup(name)
+	if !ok {
+		b.Fatalf("%s not registered", name)
+	}
+	params, err := reg.Params.Resolve(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return core.Request{Name: name, Params: params}
+}
+
+// BenchmarkClusterSweepRequest: one "cluster-sweep" request at kmax=5
+// against a resident engine, with a seed never used before, so every
+// request misses the engine memo and runs the sweep — explore's
+// sweep request without the HTTP layer.
+func BenchmarkClusterSweepRequest(b *testing.B) {
+	eng := clusterEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := analysisRequest(b, "cluster-sweep", map[string]string{"kmax": "5", "seed": fmt.Sprint(1000 + i)})
+		if _, err := eng.RunRequests(req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,28 +443,14 @@ func BenchmarkClusterSweep(b *testing.B) {
 // a "cluster-sweep" at kmax=5, each with a seed never used before, so
 // every request misses the engine memo and computes its partition.
 func BenchmarkClusterExploreCycle(b *testing.B) {
-	eng := core.New(core.WithSource(core.SliceSource(dataset(b).Raw)))
-	request := func(name string, raw map[string]string) core.Request {
-		reg, ok := analysis.Lookup(name)
-		if !ok {
-			b.Fatalf("%s not registered", name)
-		}
-		params, err := reg.Params.Resolve(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return core.Request{Name: name, Params: params}
-	}
-	if _, err := eng.RunRequests(request("clusters", nil)); err != nil {
-		b.Fatal(err)
-	}
+	eng := clusterEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := fmt.Sprint(3 + i%6)
 		for j, req := range []core.Request{
-			request("clusters", map[string]string{"k": k, "seed": fmt.Sprint(1000 + 3*i)}),
-			request("cluster-profiles", map[string]string{"k": k, "seed": fmt.Sprint(1001 + 3*i)}),
-			request("cluster-sweep", map[string]string{"kmax": "5", "seed": fmt.Sprint(1002 + 3*i)}),
+			analysisRequest(b, "clusters", map[string]string{"k": k, "seed": fmt.Sprint(1000 + 3*i)}),
+			analysisRequest(b, "cluster-profiles", map[string]string{"k": k, "seed": fmt.Sprint(1001 + 3*i)}),
+			analysisRequest(b, "cluster-sweep", map[string]string{"kmax": "5", "seed": fmt.Sprint(1002 + 3*i)}),
 		} {
 			if _, err := eng.RunRequests(req); err != nil {
 				b.Fatalf("request %d: %v", j, err)
@@ -428,7 +478,11 @@ func BenchmarkAblationRoundTrip(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			parsed := make([]*model.Run, len(sample))
 			for j, r := range sample {
-				p, err := parser.ParseString(report.RenderString(r))
+				var buf bytes.Buffer
+				if err := report.Render(&buf, r); err != nil {
+					b.Fatal(err)
+				}
+				p, err := parser.Parse(&buf)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -846,18 +900,7 @@ func BenchmarkServeAnalysis(b *testing.B) {
 // incremental cost of one more scenario: the clustering, but no
 // re-ingestion.
 func BenchmarkParamMemoization(b *testing.B) {
-	reg, ok := analysis.Lookup("clusters")
-	if !ok {
-		b.Fatal("clusters not registered")
-	}
-	resolve := func(b *testing.B, raw map[string]string) core.Request {
-		params, err := reg.Params.Resolve(raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return core.Request{Name: "clusters", Params: params}
-	}
-	req := resolve(b, map[string]string{"k": "4"})
+	req := analysisRequest(b, "clusters", map[string]string{"k": "4"})
 	raw := dataset(b).Raw
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -886,7 +929,7 @@ func BenchmarkParamMemoization(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fresh := resolve(b, map[string]string{"k": "4", "seed": fmt.Sprint(100 + i)})
+			fresh := analysisRequest(b, "clusters", map[string]string{"k": "4", "seed": fmt.Sprint(100 + i)})
 			if _, err := eng.RunRequests(fresh); err != nil {
 				b.Fatal(err)
 			}
@@ -906,11 +949,15 @@ func BenchmarkCorpusGeneration(b *testing.B) {
 // BenchmarkParseResultFile measures single-file parsing.
 func BenchmarkParseResultFile(b *testing.B) {
 	ds := dataset(b)
-	text := report.RenderString(ds.Comparable[0])
+	var buf strings.Builder
+	if err := report.Render(&buf, ds.Comparable[0]); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.String()
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parser.ParseString(text); err != nil {
+		if _, err := parser.Parse(strings.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}

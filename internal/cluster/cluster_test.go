@@ -345,8 +345,9 @@ func TestNewResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewResult("kmeans++", m, km.Labels, km.K, 0)
-	if res.K != 2 || len(res.Assignments) != len(runs) {
+	sil := Silhouette(m, km.Labels, km.K, 0)
+	res := newResult("kmeans++", m, km.Labels, km.K, sil)
+	if res.K != 2 || res.Silhouette != sil || len(res.Assignments) != len(runs) {
 		t.Fatalf("result shape: %+v", res)
 	}
 	total := 0

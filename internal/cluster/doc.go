@@ -13,7 +13,12 @@
 // each distance where it is needed, with identical results. Silhouette
 // sums four rows of the table side by side. KMeans keeps Hamerly bounds
 // per row and rescans only the rows they cannot prove stay put; its
-// result is exactly that of a full scan every round.
+// result is exactly that of a full scan every round. SweepK draws one
+// k-means++ seeding, at its largest k (the seeding for any smaller k is
+// a prefix of it), and runs each k as its own task on the worker pool,
+// largest first: a Lloyd fit from a copy of that prefix, then its
+// silhouette. Every point equals a separate KMeans and Silhouette at
+// that k.
 //
 // Quality is judged by within-cluster SSE and the silhouette score
 // (Silhouette, SweepK, AutoK), and clusters are summarized into

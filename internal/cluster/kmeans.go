@@ -63,12 +63,19 @@ func KMeans(m *Matrix, opt KMeansOptions) (*KMeansResult, error) {
 	if opt.K < 1 || opt.K > n {
 		return nil, fmt.Errorf("cluster: k = %d outside [1, %d rows]", opt.K, n)
 	}
+	rng := rand.New(rand.NewSource(opt.Seed))
+	return lloyd(m.Rows, seedPlusPlus(m.Rows, opt.K, rng), opt), nil
+}
+
+// lloyd runs KMeans's bounded Lloyd iterations from the given initial
+// centroids, one per cluster, reading only MaxIter and OnIteration from
+// opt. It writes to cents, which become the result's Centroids.
+func lloyd(rows, cents [][]float64, opt KMeansOptions) *KMeansResult {
+	n, k := len(rows), len(cents)
 	maxIter := opt.MaxIter
 	if maxIter <= 0 {
 		maxIter = 64
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cents := seedPlusPlus(m.Rows, opt.K, rng)
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = -1
@@ -80,15 +87,15 @@ func KMeans(m *Matrix, opt KMeansOptions) (*KMeansResult, error) {
 	// dist2 is made exact for every row first; the reseeded centroids
 	// jump, so every bound is reset after.
 	assign := func() int {
-		changed := h.assign(m.Rows, cents, labels, dist2)
-		if hasEmpty(labels, opt.K) {
-			exactDist2(m.Rows, cents, labels, dist2)
-			changed += reseedEmpty(m.Rows, cents, labels, dist2, opt.K)
+		changed := h.assign(rows, cents, labels, dist2)
+		if hasEmpty(labels, k) {
+			exactDist2(rows, cents, labels, dist2)
+			changed += reseedEmpty(rows, cents, labels, dist2, k)
 			h.reset()
 		}
 		return changed
 	}
-	res := &KMeansResult{K: opt.K, Labels: labels, Centroids: cents}
+	res := &KMeansResult{K: k, Labels: labels, Centroids: cents}
 	for res.Iterations < maxIter {
 		res.Iterations++
 		changed := assign()
@@ -99,7 +106,7 @@ func KMeans(m *Matrix, opt KMeansOptions) (*KMeansResult, error) {
 			res.Converged = true
 			break
 		}
-		h.update(m.Rows, labels, cents)
+		h.update(rows, labels, cents)
 	}
 	if !res.Converged {
 		// The last update moved the centroids: re-sync assignments so
@@ -107,11 +114,11 @@ func KMeans(m *Matrix, opt KMeansOptions) (*KMeansResult, error) {
 		assign()
 	}
 	// Skipped rows hold stale distances; the SSE sums exact ones.
-	exactDist2(m.Rows, cents, labels, dist2)
+	exactDist2(rows, cents, labels, dist2)
 	for _, d := range dist2 {
 		res.SSE += d
 	}
-	return res, nil
+	return res
 }
 
 // boundEps is the relative margin on Hamerly's skip test. Bounds are
@@ -265,7 +272,10 @@ func exactDist2(rows, cents [][]float64, labels []int, dist2 []float64) {
 
 // seedPlusPlus picks the K initial centroids: the first uniformly, each
 // later one with probability proportional to its squared distance from
-// the nearest centroid so far (Arthur & Vassilvitskii 2007).
+// the nearest centroid so far (Arthur & Vassilvitskii 2007). Picking
+// centroid c draws the same numbers from rng whatever k is, so from
+// equal RNG states the seeding for k is the first k centroids of the
+// seeding for any larger k; SweepK seeds once at its largest k.
 func seedPlusPlus(rows [][]float64, k int, rng *rand.Rand) [][]float64 {
 	n := len(rows)
 	cents := make([][]float64, 0, k)

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -191,25 +193,47 @@ type SweepPoint struct {
 }
 
 // SweepK runs seeded k-means for every k in [kmin, kmax] and reports
-// SSE and silhouette per k — the elbow/auto-k sweep. Each k uses the
-// same seed, so the sweep is as deterministic as its parts.
+// SSE and silhouette per k — the elbow/auto-k sweep. Each point equals,
+// to the bit, a KMeans with the same seed at that k plus its
+// Silhouette. The sweep draws one k-means++ seeding, at kmax: k-means++
+// takes the same random draws for its first k centroids whatever its
+// target, so the seeding for k is the first k of those centroids. Each
+// k is then one task on the worker pool, largest k first so the
+// longest fits start early: the task runs Lloyd from its own copy of
+// the first k centroids (Lloyd moves them) and scores its own
+// silhouette. When there are fewer k values than workers, each task's
+// silhouette gets the spare workers. Every task writes only its own
+// point, so the sweep is as deterministic as its parts.
 func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
 	if kmin < 1 || kmin > kmax || kmax > len(m.Rows) {
 		return nil, fmt.Errorf("cluster: sweep range [%d, %d] outside [1, %d rows]",
 			kmin, kmax, len(m.Rows))
 	}
-	points := make([]SweepPoint, 0, kmax-kmin+1)
-	for k := kmin; k <= kmax; k++ {
-		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed})
-		if err != nil {
-			return nil, err
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	seeds := seedPlusPlus(m.Rows, kmax, rand.New(rand.NewSource(seed)))
+	if kmax >= 2 {
+		// Build the shared distance table on the whole pool before
+		// the tasks split it.
+		m.distances(workers)
+	}
+	points := make([]SweepPoint, kmax-kmin+1)
+	silWorkers := max(1, workers/len(points))
+	_ = par.ForEach(len(points), workers, func(t int) error {
+		k := kmax - t
+		cents := make([][]float64, k)
+		for c := range cents {
+			cents[c] = cloneRow(seeds[c])
 		}
-		points = append(points, SweepPoint{
+		res := lloyd(m.Rows, cents, KMeansOptions{})
+		points[k-kmin] = SweepPoint{
 			K:          k,
 			SSE:        res.SSE,
-			Silhouette: Silhouette(m, res.Labels, res.K, workers),
-		})
-	}
+			Silhouette: Silhouette(m, res.Labels, k, silWorkers),
+		}
+		return nil
+	})
 	return points, nil
 }
 

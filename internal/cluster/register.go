@@ -40,16 +40,9 @@ type Result struct {
 	Assignments []Assignment `json:"assignments"`
 }
 
-// NewResult assembles a Result from a labeled partition: sizes, SSE
-// against the label centroids, silhouette, and per-run assignments in
-// row order. It is shared by the registry analyses, the speccluster
-// CLI, and the benchmarks, so every surface reports the same shape.
-func NewResult(algo string, m *Matrix, labels []int, k, workers int) Result {
-	return newResult(algo, m, labels, k, Silhouette(m, labels, k, workers))
-}
-
-// newResult is NewResult with the silhouette already in hand — the
-// registry analyses reuse the sweep's value instead of rescanning.
+// newResult assembles a Result from a labeled partition and its
+// silhouette: sizes, SSE against the label centroids, and per-run
+// assignments in row order.
 func newResult(algo string, m *Matrix, labels []int, k int, silhouette float64) Result {
 	res := Result{
 		Algo:        algo,

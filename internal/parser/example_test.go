@@ -2,14 +2,15 @@ package parser_test
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/parser"
 )
 
-// ExampleParseString demonstrates parsing a result file and reading the
+// ExampleParse demonstrates parsing a result file and reading the
 // derived metrics the paper analyses.
-func ExampleParseString() {
+func ExampleParse() {
 	text := `SPECpower_ssj2008 Result
 Report ID: power_ssj2008-20230801-00042
 Status: accepted
@@ -33,7 +34,7 @@ Target Load   ssj_ops   Average Power (W)
 Active Idle   0   90.0
 Overall Score: 23000 overall ssj_ops/watt
 `
-	run, err := parser.ParseString(text)
+	run, err := parser.Parse(strings.NewReader(text))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -86,11 +86,6 @@ func Parse(r io.Reader) (*model.Run, error) {
 	return run, nil
 }
 
-// ParseString parses a result file held in memory.
-func ParseString(s string) (*model.Run, error) {
-	return Parse(strings.NewReader(s))
-}
-
 // splitField splits "Label:   value" lines.
 func splitField(line string) (key, val string, ok bool) {
 	idx := strings.Index(line, ":")

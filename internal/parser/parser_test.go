@@ -50,10 +50,20 @@ func sampleRun() *model.Run {
 	return r
 }
 
+// render writes r in the result-file format the parser reads.
+func render(tb testing.TB, r *model.Run) string {
+	tb.Helper()
+	var b strings.Builder
+	if err := report.Render(&b, r); err != nil {
+		tb.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestRoundTrip(t *testing.T) {
 	orig := sampleRun()
-	text := report.RenderString(orig)
-	got, err := ParseString(text)
+	text := render(t, orig)
+	got, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse rendered report: %v\n%s", err, text)
 	}
@@ -110,7 +120,7 @@ func TestRoundTripPropertyTopology(t *testing.T) {
 		r.TotalCores = r.Nodes * r.SocketsPerNode * r.CoresPerSocket
 		r.TotalThreads = r.TotalCores * r.ThreadsPerCore
 		r.MemGB = int(mem%2048) + 1
-		got, err := ParseString(report.RenderString(r))
+		got, err := Parse(strings.NewReader(render(t, r)))
 		if err != nil {
 			return false
 		}
@@ -129,7 +139,7 @@ func TestRoundTripPropertyTopology(t *testing.T) {
 func TestNotAcceptedStatus(t *testing.T) {
 	r := sampleRun()
 	r.Accepted = false
-	got, err := ParseString(report.RenderString(r))
+	got, err := Parse(strings.NewReader(render(t, r)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +153,7 @@ func TestMissingNodesSurvivesToValidation(t *testing.T) {
 	// the model check classifies it — the paper's "missing node count (1)".
 	r := sampleRun()
 	r.Nodes = 0 // Render omits the Nodes line for 0
-	got, err := ParseString(report.RenderString(r))
+	got, err := Parse(strings.NewReader(render(t, r)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +166,9 @@ func TestMissingNodesSurvivesToValidation(t *testing.T) {
 }
 
 func TestUnparseableDateBecomesAmbiguous(t *testing.T) {
-	text := report.RenderString(sampleRun())
+	text := render(t, sampleRun())
 	text = strings.Replace(text, "Jul-2023", "sometime in 2023", 1)
-	got, err := ParseString(text)
+	got, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestStructuralErrors(t *testing.T) {
 		{"no table", "SPECpower_ssj2008 Result\nReport ID: x\n"},
 	}
 	for _, c := range cases {
-		if _, err := ParseString(c.text); err == nil {
+		if _, err := Parse(strings.NewReader(c.text)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
@@ -197,7 +207,7 @@ func TestCorruptTableRows(t *testing.T) {
 		base + "50% 100\n",
 	}
 	for i, text := range cases {
-		if _, err := ParseString(text); err == nil {
+		if _, err := Parse(strings.NewReader(text)); err == nil {
 			t.Errorf("case %d: corrupt row accepted", i)
 		}
 	}
@@ -227,7 +237,7 @@ Target Load   ssj_ops   Average Power (W)
 Active Idle   0   180.1
 Overall Score: 400 overall ssj_ops/watt
 `
-	got, err := ParseString(text)
+	got, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ Active Idle 0 20
 100% 200 150
 Overall Score: 1 overall ssj_ops/watt
 `
-	got, err := ParseString(text)
+	got, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/report"
 )
 
 // TestTruncatedFiles feeds every prefix-truncation of a valid report to
@@ -15,11 +14,11 @@ import (
 // never return a half-initialized success silently claiming a full
 // measurement table.
 func TestTruncatedFiles(t *testing.T) {
-	full := report.RenderString(sampleRun())
+	full := render(t, sampleRun())
 	lines := strings.Split(full, "\n")
 	for n := 0; n <= len(lines); n++ {
 		text := strings.Join(lines[:n], "\n")
-		run, err := ParseString(text)
+		run, err := Parse(strings.NewReader(text))
 		if err != nil {
 			continue // rejection is fine
 		}
@@ -42,7 +41,7 @@ func TestGarbageInjection(t *testing.T) {
 		"key without colon value",
 		"    ", "\t\t",
 	}
-	full := report.RenderString(sampleRun())
+	full := render(t, sampleRun())
 	lines := strings.Split(full, "\n")
 	var out []string
 	for _, l := range lines {
@@ -51,7 +50,7 @@ func TestGarbageInjection(t *testing.T) {
 			out = append(out, garbage[rng.Intn(len(garbage))])
 		}
 	}
-	run, err := ParseString(strings.Join(out, "\n"))
+	run, err := Parse(strings.NewReader(strings.Join(out, "\n")))
 	if err != nil {
 		t.Fatalf("garbage lines broke parsing: %v", err)
 	}
@@ -68,7 +67,7 @@ func TestHugeLine(t *testing.T) {
 	text := "SPECpower_ssj2008 Result\nReport ID: x\n" +
 		"Notes: " + strings.Repeat("y", 200*1024) + "\n" +
 		"Benchmark Results\n100% 5 5\nOverall Score: 1 x\n"
-	run, err := ParseString(text)
+	run, err := Parse(strings.NewReader(text))
 	if err != nil {
 		// A buffer-limit error is acceptable; a panic is not.
 		return
@@ -83,7 +82,7 @@ func TestHugeLine(t *testing.T) {
 func TestOverLongLineFails(t *testing.T) {
 	text := "SPECpower_ssj2008 Result\nReport ID: x\n" +
 		strings.Repeat("z", 2*1024*1024) + "\n"
-	if _, err := ParseString(text); err == nil {
+	if _, err := Parse(strings.NewReader(text)); err == nil {
 		t.Error("2 MB line should exceed the scanner buffer")
 	}
 }
@@ -91,10 +90,10 @@ func TestOverLongLineFails(t *testing.T) {
 // TestDuplicateFieldsLastWins documents the parser's behaviour when a
 // field appears twice (some historical reports repeat header blocks).
 func TestDuplicateFieldsLastWins(t *testing.T) {
-	text := report.RenderString(sampleRun())
+	text := render(t, sampleRun())
 	text = strings.Replace(text, "Benchmark Results",
 		"Memory (GB):                 999\nBenchmark Results", 1)
-	run, err := ParseString(text)
+	run, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +105,10 @@ func TestDuplicateFieldsLastWins(t *testing.T) {
 // TestNumericFieldGarbage ensures malformed numerics fail loudly rather
 // than silently zeroing.
 func TestNumericFieldGarbage(t *testing.T) {
-	text := report.RenderString(sampleRun())
+	text := render(t, sampleRun())
 	text = strings.Replace(text, "Memory (GB):                 384",
 		"Memory (GB):                 many", 1)
-	if _, err := ParseString(text); err == nil {
+	if _, err := Parse(strings.NewReader(text)); err == nil {
 		t.Error("garbage integer should error")
 	}
 }
@@ -117,11 +116,11 @@ func TestNumericFieldGarbage(t *testing.T) {
 // FuzzParse is a randomized robustness net: the parser must never panic
 // on arbitrary input.
 func FuzzParse(f *testing.F) {
-	f.Add(report.RenderString(sampleRun()))
+	f.Add(render(f, sampleRun()))
 	f.Add("SPECpower_ssj2008\nReport ID: x\nBenchmark Results\n100% 1 1\nOverall Score: 1 x\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, input string) {
-		run, err := ParseString(input)
+		run, err := Parse(strings.NewReader(input))
 		if err == nil && (run.ID == "" || len(run.Points) == 0) {
 			t.Fatal("success without mandatory fields")
 		}

@@ -3,6 +3,7 @@ package report
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +18,11 @@ func goldenPath(t *testing.T, name string) string {
 // format change must be deliberate (regenerate with -update) because
 // the parser, the corpus on disk, and downstream consumers all read it.
 func TestGoldenReportFormat(t *testing.T) {
-	got := RenderString(jsonSample())
+	var b strings.Builder
+	if err := Render(&b, jsonSample()); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
 	path := goldenPath(t, "golden_report.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

@@ -74,14 +74,6 @@ func Render(w io.Writer, r *model.Run) error {
 	return err
 }
 
-// RenderString is Render into a string.
-func RenderString(r *model.Run) string {
-	var sb strings.Builder
-	// strings.Builder writes cannot fail.
-	_ = Render(&sb, r)
-	return sb.String()
-}
-
 // Thousands formats n with comma separators ("26,000,000"), as SPEC
 // reports do.
 func Thousands(n int64) string {
