@@ -890,6 +890,64 @@ func BenchmarkServeAnalysis(b *testing.B) {
 	})
 }
 
+// BenchmarkServeAppend: one POST /v1/runs through a live server over a
+// parse-cached directory of the default corpus, with the root and the
+// vendor=amd scope resident and ingested. Each iteration posts a fresh
+// AMD result file, so both engines fold the run in and every ETag
+// rolls. A post costs more the larger the overlay already is (the
+// fingerprint hashes every overlay ID), so the server is rebuilt every
+// appendsPerServer posts and ns/op does not depend on b.N; rebuilding,
+// rendering the file and building the request are outside the timer.
+func BenchmarkServeAppend(b *testing.B) {
+	const appendsPerServer = 256
+	raw := dataset(b).Raw
+	dir := b.TempDir()
+	if err := core.WriteCorpus(dir, raw, 0); err != nil {
+		b.Fatal(err)
+	}
+	newServer := func() *serve.Server {
+		srv := serve.New(serve.Config{Base: core.CachedSource{Dir: dir}, Live: true, TraceBufferSize: -1})
+		for _, path := range []string{"/v1/analyses/funnel", "/v1/analyses/funnel?filter=vendor%3Damd"} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("priming %s: status %d", path, rec.Code)
+			}
+		}
+		return srv
+	}
+	var amd *model.Run
+	for _, r := range raw {
+		if r.CPUVendor == model.VendorAMD {
+			amd = r
+			break
+		}
+	}
+	var srv *serve.Server
+	var body bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i%appendsPerServer == 0 {
+			srv = newServer()
+		}
+		r := *amd
+		r.ID = fmt.Sprintf("bench-append-%d", i)
+		body.Reset()
+		if err := report.Render(&body, &r); err != nil {
+			b.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body.Bytes()))
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("append %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+}
+
 // BenchmarkParamMemoization (D11): one parameterized clusters request
 // (k=4, no auto-k sweep) through Engine.RunRequests. cold pays for
 // everything on a fresh engine each iteration — ingestion plus the

@@ -46,7 +46,9 @@
 // — changes an append cannot express — reset the engine pool so every
 // scope rebuilds from the changed directory. Generation and append
 // counters surface in /metrics (specserve_generation,
-// specserve_appends_total) and per scope in /v1/pool.
+// specserve_appends_total) and per scope in /v1/pool; with -watch the
+// watcher's health does too (specserve_watch_poll_errors_total,
+// specserve_watch_last_success_age_seconds).
 //
 // Usage:
 //
@@ -175,6 +177,9 @@ func main() {
 		if err := w.Baseline(); err != nil {
 			log.Fatal(err)
 		}
+		// The baseline is the first successful read of the directories,
+		// so the watcher's health shows on /metrics from the start.
+		srv.ObserveWatchPoll(time.Now(), nil)
 		ticker := time.NewTicker(*watchInterval)
 		defer ticker.Stop()
 		runner := &live.Runner{
@@ -210,7 +215,14 @@ func main() {
 				}
 				events.Info("watch_absorb", evlog.Int("files", len(runs)), evlog.Int64("generation", int64(gen)))
 			},
-			OnError: func(err error) { events.Warn("watch_error", evlog.String("err", err.Error())) },
+			// Each poll is observed here once: a failure is one
+			// watch_error event and one tick of the metrics' error count.
+			OnPoll: func(tick time.Time, err error) {
+				if err != nil {
+					events.Warn("watch_error", evlog.String("err", err.Error()))
+				}
+				srv.ObserveWatchPoll(tick, err)
+			},
 		}
 		go runner.Run(ctx)
 		events.Info("watch_start", evlog.String("dirs", strings.Join(watchDirs, ",")),

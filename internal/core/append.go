@@ -21,6 +21,14 @@ import (
 // result file into a DirSource's directory advances the generation via
 // Bump without duplicating the file into the overlay).
 //
+// The inner fingerprint is taken once and kept until Bump, the one
+// call that says the inner source changed. A DirSource is therefore
+// walked on the first Fingerprint and on the first one after each
+// Bump, never on one that follows an Append: the overlay changes, the
+// directory does not. In the serving pool that means a walk when the
+// root is built, after watcher growth and after a reset, and none per
+// POST /v1/runs.
+//
 // All methods are safe for concurrent use.
 type AppendSource struct {
 	inner Source
@@ -28,6 +36,8 @@ type AppendSource struct {
 	mu       sync.RWMutex
 	appended []*model.Run
 	gen      uint64
+	bumps    uint64 // Bump calls, so a walk can tell it was overtaken
+	innerFP  string // inner's fingerprint, "" until taken and after Bump
 }
 
 // NewAppendSource wraps inner at generation 0 with an empty overlay.
@@ -74,12 +84,16 @@ func (s *AppendSource) Append(runs ...*model.Run) uint64 {
 
 // Bump advances the generation without touching the overlay, for
 // growth that happened inside the inner source (new result files in a
-// watched directory). The inner fingerprint already reflects the new
-// content; bumping keeps the generation a complete change counter.
+// watched directory, or files rewritten under it). It drops the kept
+// inner fingerprint, so the next Fingerprint takes it afresh and sees
+// the new content; bumping keeps the generation a complete change
+// counter.
 func (s *AppendSource) Bump() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gen++
+	s.bumps++
+	s.innerFP = ""
 	return s.gen
 }
 
@@ -100,20 +114,35 @@ func (s *AppendSource) AppendedRuns() int {
 
 // Fingerprint implements Fingerprinter: the generation, the inner
 // fingerprint, and the overlay run IDs, all under one lock so a
-// fingerprint never mixes two generations' overlays.
+// fingerprint never mixes two generations' overlays. The inner
+// fingerprint is the kept one: it is taken (for a directory, walked)
+// only on first use and after Bump, outside the lock. A walk that a
+// Bump overtook is not kept, as it may predate the growth the Bump
+// announced, and neither is an error, so the next call retries.
 func (s *AppendSource) Fingerprint() (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	inner, err := SourceFingerprint(s.inner)
-	if err != nil {
-		return "", err
+	for {
+		s.mu.RLock()
+		if s.innerFP != "" {
+			parts := make([]string, 0, len(s.appended)+3)
+			parts = append(parts, "append", strconv.FormatUint(s.gen, 10), s.innerFP)
+			for _, r := range s.appended {
+				parts = append(parts, r.ID)
+			}
+			s.mu.RUnlock()
+			return Digest(parts...), nil
+		}
+		bumps := s.bumps
+		s.mu.RUnlock()
+		inner, err := SourceFingerprint(s.inner)
+		if err != nil {
+			return "", err
+		}
+		s.mu.Lock()
+		if s.bumps == bumps {
+			s.innerFP = inner
+		}
+		s.mu.Unlock()
 	}
-	parts := make([]string, 0, len(s.appended)+3)
-	parts = append(parts, "append", strconv.FormatUint(s.gen, 10), inner)
-	for _, r := range s.appended {
-		parts = append(parts, r.ID)
-	}
-	return Digest(parts...), nil
 }
 
 // SourceParts implements Parted: the inner source (decomposed if it

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -90,6 +92,116 @@ func TestAppendSourceStreamAndFingerprint(t *testing.T) {
 	}
 	if parts := src.SourceParts(); len(parts) != 2 {
 		t.Errorf("SourceParts = %d parts, want inner + overlay", len(parts))
+	}
+}
+
+// TestAppendSourceFingerprintCache pins the kept inner fingerprint over
+// a directory: a file that lands without a Bump leaves the fingerprint
+// alone, Bump makes the next one see it, and every fingerprint equals
+// the uncached formula — Digest("append", generation, a fresh walk of
+// the directory, overlay IDs...) — also after a concurrent mix of
+// Fingerprint, Append and Bump.
+func TestAppendSourceFingerprintCache(t *testing.T) {
+	runs, err := GenerateCorpus(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, late := runs[:len(runs)-2], runs[len(runs)-2:]
+	dir := t.TempDir()
+	if err := WriteCorpus(dir, base, 0); err != nil {
+		t.Fatal(err)
+	}
+	src := NewAppendSource(DirSource{Dir: dir})
+	var overlay []string
+	uncached := func(gen uint64) string {
+		t.Helper()
+		inner, err := DirSource{Dir: dir}.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Digest(append([]string{"append", strconv.FormatUint(gen, 10), inner}, overlay...)...)
+	}
+	fingerprint := func() string {
+		t.Helper()
+		fp, err := src.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
+	}
+
+	if got, want := fingerprint(), uncached(0); got != want {
+		t.Fatalf("first fingerprint %s, want %s", got, want)
+	}
+	posted := *late[0]
+	posted.ID = "cache-posted"
+	src.Append(&posted)
+	overlay = append(overlay, posted.ID)
+	afterAppend := fingerprint()
+	if want := uncached(1); afterAppend != want {
+		t.Fatalf("after Append: %s, want %s", afterAppend, want)
+	}
+
+	// A file lands in the directory, but nobody says so: the kept inner
+	// fingerprint still describes the corpus as it was taken.
+	if err := WriteCorpus(dir, late[1:], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(); got != afterAppend {
+		t.Fatalf("a file landed without Bump and the fingerprint moved: %s -> %s", afterAppend, got)
+	}
+	if gen := src.Bump(); gen != 2 {
+		t.Fatalf("Bump generation = %d, want 2", gen)
+	}
+	afterBump := fingerprint()
+	if afterBump == afterAppend {
+		t.Fatal("fingerprint unchanged after Bump")
+	}
+	if want := uncached(2); afterBump != want {
+		t.Fatalf("after Bump: %s, want the uncached %s", afterBump, want)
+	}
+
+	// Concurrent readers, appends and bumps: run under -race, and the
+	// fingerprint of the quiesced source is still the uncached one.
+	const appends, bumps = 20, 10
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if _, err := src.Fingerprint(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	ids := make([]string, appends)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range ids {
+			r := *late[0]
+			r.ID = fmt.Sprintf("cache-concurrent-%d", i)
+			ids[i] = r.ID
+			src.Append(&r)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < bumps; i++ {
+			src.Bump()
+		}
+	}()
+	wg.Wait()
+	overlay = append(overlay, ids...)
+	gen := src.Generation()
+	if gen != 2+appends+bumps {
+		t.Fatalf("generation %d after the concurrent loop, want %d", gen, 2+appends+bumps)
+	}
+	if got, want := fingerprint(), uncached(gen); got != want {
+		t.Fatalf("after the concurrent loop: %s, want the uncached %s", got, want)
 	}
 }
 

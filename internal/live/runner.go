@@ -6,10 +6,11 @@ import (
 )
 
 // Runner drives a Watcher from an externally owned tick channel: one
-// Poll per tick, deltas handed to OnDelta, errors to OnError. The
-// runner never constructs a clock — specserve feeds it a time.Ticker,
-// tests feed it a plain channel — so poll cadence is entirely the
-// caller's policy and the package stays free of time reads.
+// Poll per tick, its outcome handed to OnPoll and its delta to OnDelta.
+// The runner never constructs a clock — specserve feeds it a
+// time.Ticker, tests feed it a plain channel — so poll cadence is
+// entirely the caller's policy and the package stays free of time
+// reads.
 type Runner struct {
 	// W is the watcher to poll. Run is the only goroutine touching it.
 	W *Watcher
@@ -19,10 +20,12 @@ type Runner struct {
 	// poll waits until the handler returns, so deltas are observed in
 	// order and never concurrently.
 	OnDelta func(Delta)
-	// OnError receives poll errors (nil handler drops them). An error
-	// does not stop the runner — the watcher keeps its previous state,
-	// so the next successful poll reports the accumulated changes.
-	OnError func(error)
+	// OnPoll receives every poll's outcome, before OnDelta: the tick
+	// that triggered it and the poll error, nil on success (a nil
+	// handler drops both). An error does not stop the runner — the
+	// watcher keeps its previous state, so the next successful poll
+	// reports the accumulated changes.
+	OnPoll func(tick time.Time, err error)
 }
 
 // Run polls on each tick until the context is cancelled or the tick
@@ -33,15 +36,15 @@ func (r *Runner) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case _, ok := <-r.Ticks:
+		case tick, ok := <-r.Ticks:
 			if !ok {
 				return nil
 			}
 			d, err := r.W.Poll()
+			if r.OnPoll != nil {
+				r.OnPoll(tick, err)
+			}
 			if err != nil {
-				if r.OnError != nil {
-					r.OnError(err)
-				}
 				continue
 			}
 			if !d.Empty() && r.OnDelta != nil {

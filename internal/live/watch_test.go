@@ -205,16 +205,18 @@ func TestRunnerErrorDoesNotStop(t *testing.T) {
 	var errs []error
 	var deltas []Delta
 	// The tick send returns once Run has the tick, before it polls, so
-	// the directory may only appear after OnError has seen the failure.
+	// the directory may only appear after OnPoll has seen the failure.
 	polled := make(chan struct{}, 1)
 	done := make(chan error, 1)
 	r := &Runner{
 		W:       w,
 		Ticks:   ticks,
 		OnDelta: func(d Delta) { deltas = append(deltas, d) },
-		OnError: func(err error) {
-			errs = append(errs, err)
-			polled <- struct{}{}
+		OnPoll: func(_ time.Time, err error) {
+			if err != nil {
+				errs = append(errs, err)
+				polled <- struct{}{}
+			}
 		},
 	}
 	go func() { done <- r.Run(context.Background()) }()

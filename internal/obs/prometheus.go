@@ -67,6 +67,13 @@ type ServerGauges struct {
 	Generation        uint64
 	AppendsTotal      int64
 	AppendedRunsTotal int64
+
+	// Directory-watcher health, gated by WatchEnabled: polls that
+	// failed, and the seconds since the last one that read every
+	// watched directory.
+	WatchEnabled               bool
+	WatchPollErrors            int64
+	WatchLastSuccessAgeSeconds float64
 }
 
 // seconds renders nanoseconds as a decimal seconds literal, the unit
@@ -157,6 +164,11 @@ func (c *Collector) WritePrometheus(w io.Writer, g ServerGauges) {
 		gauge("specserve_generation", "Live corpus generation (bumped once per absorbed append).", strconv.FormatUint(g.Generation, 10))
 		counter("specserve_appends_total", "Live appends absorbed into the corpus (POST /v1/runs and watcher deltas).", g.AppendsTotal)
 		counter("specserve_appended_runs_total", "Runs folded into the live corpus across all appends.", g.AppendedRunsTotal)
+	}
+	if g.WatchEnabled {
+		counter("specserve_watch_poll_errors_total", "Corpus-directory watcher polls that failed.", g.WatchPollErrors)
+		gauge("specserve_watch_last_success_age_seconds", "Seconds since the watcher last read every watched directory.",
+			strconv.FormatFloat(g.WatchLastSuccessAgeSeconds, 'f', 3, 64))
 	}
 
 	writeHeader(w, "specserve_stage_duration_seconds", "histogram",

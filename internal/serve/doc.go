@@ -60,8 +60,13 @@
 // a digest of every file's path, size, and mtime; for synthetic ones
 // the generator options — so the validator changes exactly when the
 // served bytes could. A scope's is derived without a walk, as
-// core.FilterSource reports it: core.Digest("filter", expr, root). A
-// repeat request carrying If-None-Match is answered 304 Not Modified
+// core.FilterSource reports it: core.Digest("filter", expr, root). On
+// a live server the root's is core.AppendSource's, which keeps the
+// base's fingerprint until the base changes: a directory corpus is
+// walked when the root is built, after watcher growth
+// (AbsorbBaseGrowth) and on the first build after a reset (ResetPool),
+// never for a POSTed run, which moves only the generation and the
+// overlay IDs the fingerprint composes. A repeat request carrying If-None-Match is answered 304 Not Modified
 // with no recomputation and an empty body; Cache-Control: no-cache
 // makes clients revalidate.
 //

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,8 +12,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/model"
 	"repro/internal/synth"
 )
@@ -431,4 +434,126 @@ func TestLiveClusteringHistoryIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWatchHealthMetrics drives a live.Runner with injected ticks over
+// a corpus directory that disappears and comes back: /metrics counts
+// each failed poll once and measures the last-success age from the
+// tick of the last poll that read the directory.
+func TestWatchHealthMetrics(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "corpus")
+	if err := core.WriteCorpus(dir, testRuns(t)[:3], 0); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Base: core.DirSource{Dir: dir}, Live: true})
+	for _, series := range []string{"specserve_watch_poll_errors_total", "specserve_watch_last_success_age_seconds"} {
+		if _, ok := scrape(t, s)[series]; ok {
+			t.Fatalf("%s exposed before any poll was observed", series)
+		}
+	}
+	w := live.NewWatcher(dir)
+	if err := w.Baseline(); err != nil {
+		t.Fatal(err)
+	}
+	ticks := make(chan time.Time)
+	polled := make(chan error)
+	r := &live.Runner{W: w, Ticks: ticks, OnPoll: func(tick time.Time, err error) {
+		s.ObserveWatchPoll(tick, err)
+		polled <- err
+	}}
+	done := make(chan error, 1)
+	go func() { done <- r.Run(context.Background()) }()
+	poll := func(tick time.Time, wantErr bool) {
+		t.Helper()
+		ticks <- tick
+		if err := <-polled; (err != nil) != wantErr {
+			t.Fatalf("poll error %v, want error: %v", err, wantErr)
+		}
+	}
+	want := func(errs, minAge, maxAge float64) {
+		t.Helper()
+		mx := scrape(t, s)
+		if got := mx["specserve_watch_poll_errors_total"]; got != errs {
+			t.Errorf("specserve_watch_poll_errors_total = %v, want %v", got, errs)
+		}
+		age, ok := mx["specserve_watch_last_success_age_seconds"]
+		if !ok || age < minAge || age > maxAge {
+			t.Errorf("specserve_watch_last_success_age_seconds = %v (present %v), want in [%v, %v]",
+				age, ok, minAge, maxAge)
+		}
+	}
+
+	hourAgo := time.Now().Add(-time.Hour)
+	poll(hourAgo, false)
+	want(0, 3600, 3600+60)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	poll(time.Now(), true)
+	poll(time.Now(), true)
+	want(2, 3600, 3600+60) // failed polls leave the last success alone
+	if err := core.WriteCorpus(dir, testRuns(t)[:3], 0); err != nil {
+		t.Fatal(err)
+	}
+	poll(time.Now(), false)
+	want(2, 0, 60)
+
+	close(ticks)
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// FuzzAppendRunBody fuzzes the POST /v1/runs body through ServeHTTP on
+// a small live server with the root and a filter scope resident: no
+// body panics the server, a 200 advances the generation by exactly one
+// and rolls both ETags, and a 4xx leaves the generation and both ETags
+// as they were. Each input gets a fresh server, so a failure reproduces
+// from its input alone.
+func FuzzAppendRunBody(f *testing.F) {
+	base := core.SliceSource(testRuns(f))
+	paths := []string{"/v1/analyses/funnel", "/v1/analyses/funnel?filter=vendor=amd"}
+	etags := func(t *testing.T, s *Server) []string {
+		t.Helper()
+		var out []string
+		for _, p := range paths {
+			rec := get(t, s, p)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", p, rec.Code, rec.Body)
+			}
+			out = append(out, rec.Header().Get("ETag"))
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{Base: base, Live: true, TraceBufferSize: -1})
+		before := etags(t, s)
+		rec := postRun(t, s, body)
+		switch {
+		case rec.Code == http.StatusOK:
+			var resp appendResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body %q: %v", rec.Body, err)
+			}
+			if resp.Generation != 1 || s.Generation() != 1 {
+				t.Fatalf("200 answered generation %d, server at %d; want 1 from 0", resp.Generation, s.Generation())
+			}
+			for i, etag := range etags(t, s) {
+				if etag == before[i] {
+					t.Errorf("%s: ETag %s did not roll across an accepted append", paths[i], etag)
+				}
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if got := s.Generation(); got != 0 {
+				t.Fatalf("%d moved the generation to %d", rec.Code, got)
+			}
+			for i, etag := range etags(t, s) {
+				if etag != before[i] {
+					t.Errorf("%s: ETag %s -> %s across a rejected append", paths[i], before[i], etag)
+				}
+			}
+		default:
+			t.Fatalf("POST answered %d: %s", rec.Code, rec.Body)
+		}
+	})
 }

@@ -304,7 +304,11 @@ func (p *enginePool) absorb(runs []*model.Run, viaOverlay bool, traceID string) 
 	}
 	p.appends.Add(1)
 	p.appendedRuns.Add(int64(len(runs)))
-	fp, err := core.SourceFingerprint(p.base) // the one walk: scopes derive theirs
+	// The base keeps its inner fingerprint until Bump: a POST walks
+	// nothing, watcher growth walks the corpus once (as does the first
+	// root build after a reset), and every scope derives its
+	// fingerprint from this one.
+	fp, err := core.SourceFingerprint(p.base)
 	for _, ent := range p.entries(false) {
 		if err != nil {
 			p.dropReason(ent, "append_failed", traceID)

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -352,10 +353,14 @@ func (c fingerprintCounter) Fingerprint() (string, error) {
 	return core.SourceFingerprint(c.Source)
 }
 
-// TestOneFingerprintWalkPerAppend: with the root and several scopes
-// resident, building the scopes walks nothing and every append walks
-// the base once, while each scope's fingerprint still equals the one a
-// FilterSource over the base reports.
+// TestOneFingerprintWalkPerAppend pins when the live pool walks the
+// corpus: once to build the root and its scopes, never for a POSTed
+// append (the overlay grows, the base does not), once for each watcher
+// append and once for the first request after a reset (both Bump the
+// base). Each scope's fingerprint is checked against one computed
+// without the base's kept fingerprint: a fresh walk of the inner
+// source, the generation and the overlay IDs under core.Digest's
+// "append" framing, then the "filter" framing for a scope.
 func TestOneFingerprintWalkPerAppend(t *testing.T) {
 	for _, path := range appendPaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -364,48 +369,79 @@ func TestOneFingerprintWalkPerAppend(t *testing.T) {
 			var walks atomic.Int64
 			s := New(Config{Base: fingerprintCounter{Source: inner, walks: &walks}, Live: true})
 			filters := []string{"", "vendor=amd", "vendor=intel", "os=linux"}
-			for _, f := range filters {
-				if rec := get(t, s, "/v1/analyses/funnel?filter="+f); rec.Code != http.StatusOK {
-					t.Fatalf("filter %q = %d: %s", f, rec.Code, rec.Body)
+			serveAll := func() {
+				t.Helper()
+				for _, f := range filters {
+					if rec := get(t, s, "/v1/analyses/funnel?filter="+f); rec.Code != http.StatusOK {
+						t.Fatalf("filter %q = %d: %s", f, rec.Code, rec.Body)
+					}
 				}
 			}
-			if got := walks.Load(); got != 1 {
-				t.Fatalf("building root + %d scopes walked the corpus %d times, want 1", len(filters)-1, got)
+			wantWalks := func(when string, want int64) {
+				t.Helper()
+				if got := walks.Load(); got != want {
+					t.Fatalf("%s: %d walks, want %d", when, got, want)
+				}
 			}
+			serveAll()
+			wantWalks(fmt.Sprintf("building root + %d scopes", len(filters)-1), 1)
+			perAppend := int64(0) // a POST leaves the base alone
+			if path.name == "watch" {
+				perAppend = 1 // new files in the base: AbsorbBaseGrowth bumps it
+			}
+			var overlay []string
 			for i := 0; i < 2; i++ {
 				r := *extra
 				r.ID = fmt.Sprintf("walk-append-%d", i)
 				if err := path.apply(s, path.land(t, inner, &r)); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := walks.Load(), int64(2+i); got != want {
-					t.Fatalf("after append %d: %d walks, want %d (one per append)", i+1, got, want)
+				if path.name == "post" {
+					overlay = append(overlay, r.ID)
 				}
+				wantWalks(fmt.Sprintf("after append %d", i+1), 1+int64(i+1)*perAppend)
 			}
-			snap := s.pool.snapshot()
-			if len(snap.Engines) != len(filters) {
-				t.Fatalf("pool holds %d engines, want %d", len(snap.Engines), len(filters))
+			wantScopeFingerprints(t, s, inner, 2, overlay, len(filters))
+
+			afterAppends := walks.Load()
+			if _, err := s.ResetPool("test"); err != nil {
+				t.Fatal(err)
 			}
-			for _, e := range snap.Engines {
-				sc, err := parseScope(e.Filter)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want string
-				if sc.keep == nil {
-					want, err = core.SourceFingerprint(s.pool.base)
-				} else {
-					want, err = core.FilterSource{Inner: s.pool.base, Keep: sc.keep, Desc: sc.expr}.Fingerprint()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e.Fingerprint != want || e.Generation != 2 {
-					t.Errorf("scope %q: fingerprint %s at generation %d, want %s at 2",
-						e.Filter, e.Fingerprint, e.Generation, want)
-				}
-			}
+			wantWalks("after reset", afterAppends)
+			serveAll()
+			wantWalks("after reset and a rebuild of root + scopes", afterAppends+1)
+			wantScopeFingerprints(t, s, inner, 3, overlay, len(filters))
 		})
+	}
+}
+
+// wantScopeFingerprints checks every resident engine's fingerprint and
+// generation against a fresh walk of inner at generation gen with the
+// given overlay run IDs, without asking the pool's base source.
+func wantScopeFingerprints(t *testing.T, s *Server, inner core.Source, gen uint64, overlay []string, engines int) {
+	t.Helper()
+	innerFP, err := core.SourceFingerprint(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootFP := core.Digest(append([]string{"append", strconv.FormatUint(gen, 10), innerFP}, overlay...)...)
+	snap := s.pool.snapshot()
+	if len(snap.Engines) != engines {
+		t.Fatalf("pool holds %d engines, want %d", len(snap.Engines), engines)
+	}
+	for _, e := range snap.Engines {
+		sc, err := parseScope(e.Filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rootFP
+		if sc.keep != nil {
+			want = core.Digest("filter", sc.expr, rootFP)
+		}
+		if e.Fingerprint != want || e.Generation != gen {
+			t.Errorf("scope %q: fingerprint %s at generation %d, want %s at %d",
+				e.Filter, e.Fingerprint, e.Generation, want, gen)
+		}
 	}
 }
 

@@ -81,6 +81,7 @@ type Server struct {
 	handler  http.Handler
 	started  time.Time
 	counters counters
+	watch    watchHealth
 	metrics  *obs.Collector
 	audit    *obs.AuditLog
 	traces   *trace.Ring // nil when tracing is disabled

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +17,37 @@ type counters struct {
 	inFlight atomic.Int64
 }
 
+// watchHealth is the directory watcher as /metrics shows it, fed only
+// by ObserveWatchPoll.
+type watchHealth struct {
+	mu       sync.Mutex
+	observed bool      // a poll has been observed; gates the series
+	errors   int64     // failed polls
+	lastOK   time.Time // tick of the last successful poll
+}
+
+// ObserveWatchPoll records one poll of the corpus-directory watcher for
+// /metrics: a failed poll (err != nil) counts toward
+// specserve_watch_poll_errors_total, and a successful one's tick
+// becomes the time specserve_watch_last_success_age_seconds measures
+// from (the server's start until one succeeds). Both series appear
+// with the first observed poll. cmd/specserve calls it from the
+// live.Runner's OnPoll, the callback that also logs watch_error, so the
+// log and the metrics count the same polls.
+func (s *Server) ObserveWatchPoll(tick time.Time, err error) {
+	s.watch.mu.Lock()
+	defer s.watch.mu.Unlock()
+	s.watch.observed = true
+	if err != nil {
+		s.watch.errors++
+	} else {
+		s.watch.lastOK = tick
+	}
+}
+
 // gauges assembles the exposition's counter/gauge values. It is the one
-// place that reads the gate, pool, audit, trace and live counters.
+// place that reads the gate, pool, audit, trace, live and watcher
+// counters.
 func (s *Server) gauges() obs.ServerGauges {
 	pc := core.ParseCacheCounters()
 	g := obs.ServerGauges{
@@ -65,5 +95,16 @@ func (s *Server) gauges() obs.ServerGauges {
 		g.AppendsTotal = s.pool.appends.Load()
 		g.AppendedRunsTotal = s.pool.appendedRuns.Load()
 	}
+	s.watch.mu.Lock()
+	if s.watch.observed {
+		g.WatchEnabled = true
+		g.WatchPollErrors = s.watch.errors
+		lastOK := s.watch.lastOK
+		if lastOK.IsZero() { // no poll has succeeded: blind since start
+			lastOK = s.started
+		}
+		g.WatchLastSuccessAgeSeconds = time.Since(lastOK).Seconds()
+	}
+	s.watch.mu.Unlock()
 	return g
 }
