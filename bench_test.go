@@ -247,6 +247,37 @@ func BenchmarkPaperTrendTests(b *testing.B) {
 	}
 }
 
+// trendSeries is the (availability date, overall ssj_ops/W) scatter of
+// the comparable runs: the size and shape of a full-range trend input.
+func trendSeries(b *testing.B) (xs, ys []float64) {
+	for _, r := range dataset(b).Comparable {
+		xs = append(xs, r.HWAvail.Frac())
+		ys = append(ys, r.OverallOpsPerWatt())
+	}
+	return xs, ys
+}
+
+// BenchmarkSenSlope: the Theil–Sen median over every pairwise slope of
+// the comparable corpus (676 runs, about 228k slopes).
+func BenchmarkSenSlope(b *testing.B) {
+	xs, ys := trendSeries(b)
+	for b.Loop() {
+		if _, err := stats.SenSlope(xs, ys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKendallTau: Kendall's τ-b over the same scatter.
+func BenchmarkKendallTau(b *testing.B) {
+	xs, ys := trendSeries(b)
+	for b.Loop() {
+		if _, err := stats.KendallTau(xs, ys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEnergyProportionality(b *testing.B) {
 	ds := dataset(b)
 	yearly := analysis.EPByYear(ds.Comparable)

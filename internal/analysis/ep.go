@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -29,18 +30,21 @@ func EPScore(r *model.Run) float64 {
 	if math.IsNaN(full) || full <= 0 {
 		return math.NaN()
 	}
-	type uv struct{ u, rel float64 }
-	var pts []uv
+	// A SPECpower run has ten graduated load levels, so the points fit
+	// a stack buffer. slices.SortFunc runs the same pdqsort as sort.Slice,
+	// so equal loads keep the order sort.Slice gave them.
+	var buf [12]loadRel
+	pts := buf[:0]
 	for _, p := range r.Points {
 		if p.TargetLoad == 0 {
 			continue // active idle excluded (see above)
 		}
-		pts = append(pts, uv{float64(p.TargetLoad) / 100, p.AvgPower / full})
+		pts = append(pts, loadRel{float64(p.TargetLoad) / 100, p.AvgPower / full})
 	}
 	if len(pts) < 2 {
 		return math.NaN()
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].u < pts[j].u })
+	slices.SortFunc(pts, func(a, b loadRel) int { return cmp.Compare(a.u, b.u) })
 	var area float64
 	for i := 1; i < len(pts); i++ {
 		du := pts[i].u - pts[i-1].u
@@ -60,6 +64,10 @@ func EPScore(r *model.Run) float64 {
 	}
 	return (1 - meanRel) / denom
 }
+
+// loadRel is one graduated load level u with its power relative to
+// full load.
+type loadRel struct{ u, rel float64 }
 
 // EPByYear bins EP scores by hardware-availability year (the positive
 // proportionality trend of the paper's conclusion).

@@ -3,10 +3,9 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -99,41 +98,19 @@ func PaperTrends(comparable []*model.Run, alpha float64, workers int) ([]TrendAs
 			return math.Abs(1 - r.RelativeEfficiencyAt(70))
 		}, 0, 0},
 	}
-	// The specs are independent and their per-run Sen-slope and τ scans
-	// are quadratic in corpus size — the single most expensive analysis
-	// of a full report — so they run concurrently. Results stay in spec
-	// order and the lowest-index error wins, keeping the output and the
-	// failure mode deterministic.
+	// The specs are independent, and each builds all n(n−1)/2 pairwise
+	// slopes of its runs for the Sen slope, so they run concurrently.
+	// Results stay in spec order and the lowest-index error wins,
+	// keeping the output and the failure mode deterministic.
 	out := make([]TrendAssessment, len(specs))
-	errs := make([]error, len(specs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow nodeterminism results and errors are slotted by spec index; completion order cannot reach the output
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				s := specs[i]
-				out[i], errs[i] = AssessTrend(comparable, s.name, s.metric, s.from, s.to, alpha)
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.ForEach(len(specs), workers, func(i int) error {
+		s := specs[i]
+		var err error
+		out[i], err = AssessTrend(comparable, s.name, s.metric, s.from, s.to, alpha)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -94,6 +96,55 @@ func TestEPScore(t *testing.T) {
 	// Degenerate runs.
 	if !math.IsNaN(EPScore(&model.Run{})) {
 		t.Error("empty run should be NaN")
+	}
+}
+
+// sortSliceEPScore is EPScore sorting its points with sort.Slice, as it
+// did before it sorted small runs by hand on the stack.
+func sortSliceEPScore(r *model.Run) float64 {
+	full := r.FullLoadPower()
+	if math.IsNaN(full) || full <= 0 {
+		return math.NaN()
+	}
+	var pts []loadRel
+	for _, p := range r.Points {
+		if p.TargetLoad != 0 {
+			pts = append(pts, loadRel{float64(p.TargetLoad) / 100, p.AvgPower / full})
+		}
+	}
+	if len(pts) < 2 {
+		return math.NaN()
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].u < pts[j].u })
+	var area float64
+	for i := 1; i < len(pts); i++ {
+		area += (pts[i].u - pts[i-1].u) * (pts[i].rel + pts[i-1].rel) / 2
+	}
+	lo, hi := pts[0].u, pts[len(pts)-1].u
+	if hi-lo <= 0 || 1-(lo+hi)/2 <= 0 {
+		return math.NaN()
+	}
+	return (1 - area/(hi-lo)) / (1 - (lo+hi)/2)
+}
+
+// TestEPScoreMatchesSortSlice checks EPScore's slices.SortFunc against
+// sort.Slice, at up to 12 points and above, on runs whose duplicated
+// load levels make the order of equal loads visible in the trapezoid sum.
+func TestEPScoreMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	runs := append([]*model.Run(nil), dataset(t).Comparable...)
+	for range 2000 {
+		r := &model.Run{}
+		for range 2 + rng.Intn(16) {
+			r.Points = append(r.Points, model.LoadPoint{
+				TargetLoad: 10 * rng.Intn(11), AvgPower: 50 + 450*rng.Float64()})
+		}
+		runs = append(runs, r)
+	}
+	for i, r := range runs {
+		if got, want := EPScore(r), sortSliceEPScore(r); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d (%d points): EPScore = %v, sort.Slice gives %v", i, len(r.Points), got, want)
+		}
 	}
 }
 
