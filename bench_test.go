@@ -536,13 +536,16 @@ func BenchmarkAblationExtrapolationOrder(b *testing.B) {
 		if !ok1 || !ok2 || !ok3 {
 			return 0
 		}
-		fit, err := stats.LinReg(
-			[]float64{10, 20, 30},
-			[]float64{p10.AvgPower, p20.AvgPower, p30.AvgPower})
-		if err != nil {
-			return 0
+		// Least-squares line through the three points, evaluated at 0 %.
+		xs := [3]float64{10, 20, 30}
+		ys := [3]float64{p10.AvgPower, p20.AvgPower, p30.AvgPower}
+		mx, my := (xs[0]+xs[1]+xs[2])/3, (ys[0]+ys[1]+ys[2])/3
+		var sxx, sxy float64
+		for i := range xs {
+			sxx += (xs[i] - mx) * (xs[i] - mx)
+			sxy += (xs[i] - mx) * (ys[i] - my)
 		}
-		return fit.Predict(0)
+		return my - sxy/sxx*mx
 	}
 	// Report the methodological sensitivity once.
 	var deltas []float64
@@ -608,7 +611,11 @@ func BenchmarkStreamingIngest(b *testing.B) {
 	})
 	b.Run("materialize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			runs, err := core.LoadRuns(dir, 0)
+			var runs []*model.Run
+			err := core.DirSource{Dir: dir}.Each(0, func(r *model.Run) error {
+				runs = append(runs, r)
+				return nil
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,7 +24,7 @@ import (
 // run is held back so a live server can append it.
 func newServer(t *testing.T, live, audit bool) (*httptest.Server, *serve.Server) {
 	t.Helper()
-	runs, err := core.GenerateCorpus(synth.Options{
+	runs, err := synth.Generate(synth.Options{
 		Seed: 7,
 		Plan: []synth.YearPlan{
 			{Year: 2009, Parsed: 12, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},

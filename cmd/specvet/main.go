@@ -4,7 +4,8 @@
 // registry invariants: no wall clock, global randomness, environment
 // reads, or unordered concurrency reachable from a registered
 // analysis; no map iteration order escaping into output; no
-// registrations outside init; no re-parsing of typed parameters.
+// registrations outside init; no re-parsing of typed parameters; no
+// exported internal API that only tests use.
 //
 // The driver is self-contained on go/ast and go/types (this
 // environment has no golang.org/x/tools, so the go vet -vettool route

@@ -51,15 +51,3 @@ func MetricChangepoint(comparable []*model.Run, name string, metric Metric, minR
 		Significant: res.Significant,
 	}, nil
 }
-
-// YearlyMeansByVendor bins a metric by year within one vendor, the
-// per-series view behind the figures' vendor colouring.
-func YearlyMeansByVendor(runs []*model.Run, v model.CPUVendor, metric Metric) []YearlyStat {
-	var sub []*model.Run
-	for _, r := range runs {
-		if r.CPUVendor == v {
-			sub = append(sub, r)
-		}
-	}
-	return YearlyMeans(sub, metric)
-}

@@ -141,11 +141,6 @@ var specs = []CPUSpec{
 		TDPWatts: 105, MaxSockets: 1, OpsPerCoreGHz: 33000, FPRatio: 1.00, VectorBits: 256, Popularity: 1},
 }
 
-// All returns every catalog entry (a copy; callers may reorder).
-func All() []CPUSpec {
-	return append([]CPUSpec(nil), specs...)
-}
-
 // Find returns the entry whose name contains the given substring
 // (case-insensitive); it errors if zero or several entries match.
 func Find(substr string) (CPUSpec, error) {

@@ -29,7 +29,7 @@ func appendTestOptions() synth.Options {
 }
 
 func TestAppendSourceStreamAndFingerprint(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAppendSourceStreamAndFingerprint(t *testing.T) {
 // the directory, overlay IDs...) — also after a concurrent mix of
 // Fingerprint, Append and Bump.
 func TestAppendSourceFingerprintCache(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestAppendSourceFingerprintCache(t *testing.T) {
 // ingesting N runs and appending M more must produce byte-identical
 // analysis output to ingesting all N+M at once.
 func TestEngineAppendEquivalence(t *testing.T) {
-	runs, err := GenerateCorpus(appendTestOptions())
+	runs, err := synth.Generate(appendTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func clusteringRequests(t *testing.T) []Request {
 // ingesting the whole corpus at once does — mini-batch included, at two
 // split points.
 func TestEngineAppendEquivalenceClustering(t *testing.T) {
-	runs, err := GenerateCorpus(appendTestOptions())
+	runs, err := synth.Generate(appendTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestEngineAppendEquivalenceClustering(t *testing.T) {
 // an append only drops the memos whose declared input stage gained
 // rows, counted through the engine's hit/miss counters.
 func TestEngineAppendMemoInvalidation(t *testing.T) {
-	runs, err := GenerateCorpus(appendTestOptions())
+	runs, err := synth.Generate(appendTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestEngineAppendEmptyIsNoOp(t *testing.T) {
 // invalidates) must beat dropping the engine and re-classifying the
 // full synthetic corpus by at least 5x.
 func BenchmarkAppendVsRebuild(b *testing.B) {
-	runs, err := GenerateCorpus(synth.DefaultOptions())
+	runs, err := synth.Generate(synth.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

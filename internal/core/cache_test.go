@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 // cachedIDs streams the source and returns the IDs in delivery order.
@@ -24,7 +25,7 @@ func cachedIDs(t *testing.T, src Source, workers int) []string {
 }
 
 func TestCachedSourceRoundTrip(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestCachedSourceRoundTrip(t *testing.T) {
 // TestCachedSourceInvalidation: a modified file must be re-parsed, not
 // served stale from the cache.
 func TestCachedSourceInvalidation(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestCachedSourceInvalidation(t *testing.T) {
 // TestCachedSourcePrunesDeleted: entries for deleted files disappear
 // from both the stream and the rewritten cache.
 func TestCachedSourcePrunesDeleted(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestCachedSourcePrunesDeleted(t *testing.T) {
 // TestCachedSourceCorruptCache: a truncated or garbage cache file
 // degrades to a full re-parse instead of failing.
 func TestCachedSourceCorruptCache(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCachedSourceCorruptCache(t *testing.T) {
 // TestCachedSourceCustomPath: CachePath relocates the cache outside the
 // corpus directory.
 func TestCachedSourceCustomPath(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestCachedSourceCustomPath(t *testing.T) {
 // of every untouched file survive, so live ingestion never churns the
 // whole cache.
 func TestCachedSourceAppendOneColdParse(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestCachedSourceAppendOneColdParse(t *testing.T) {
 // as hit, miss, invalidation, or prune. Counters are global, so the
 // test asserts deltas across its own sequential streams.
 func TestParseCacheCounters(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

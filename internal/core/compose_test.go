@@ -9,10 +9,11 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 func TestFilterSource(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFilterSource(t *testing.T) {
 }
 
 func TestMergeSource(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestParseFilterErrorMessages(t *testing.T) {
 // filtered stream must not disturb what gets cached: the cache holds
 // the whole directory, so differently-filtered scopes share it.
 func TestFilterOverCachedSource(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestFilterOverCachedSource(t *testing.T) {
 // TestFilterSourceEngineSlice: the canonical use — an engine over a
 // per-vendor slice of a directory corpus.
 func TestFilterSourceEngineSlice(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

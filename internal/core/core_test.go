@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -28,7 +25,7 @@ func smallOptions() synth.Options {
 }
 
 func TestGenerateWriteLoadRoundTrip(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,24 +65,8 @@ func funnelKey(ds *analysis.Dataset) [3]int {
 	return [3]int{f.Raw, f.Parsed, f.Comparable}
 }
 
-func TestLoadRunsErrors(t *testing.T) {
-	if _, err := LoadRuns(filepath.Join(t.TempDir(), "nope"), 0); err == nil {
-		t.Error("missing dir should error")
-	}
-	// A corrupt file fails the whole load with a path in the error.
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.txt")
-	if err := os.WriteFile(bad, []byte("not a report"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadRuns(dir, 2)
-	if err == nil || !strings.Contains(err.Error(), "bad.txt") {
-		t.Errorf("expected parse error naming file, got %v", err)
-	}
-}
-
 func TestWriteCorpusSequentialAndParallelAgree(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,61 +88,6 @@ func TestWriteCorpusSequentialAndParallelAgree(t *testing.T) {
 		}
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s differs between sequential and parallel write", r.ID)
-		}
-	}
-}
-
-func TestForEachParallel(t *testing.T) {
-	var count atomic.Int64
-	if err := forEachParallel(100, 8, func(i int) error {
-		count.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 100 {
-		t.Fatalf("visited %d of 100", count.Load())
-	}
-	// Error propagation.
-	wantErr := errors.New("boom")
-	err := forEachParallel(50, 4, func(i int) error {
-		if i == 25 {
-			return wantErr
-		}
-		return nil
-	})
-	if !errors.Is(err, wantErr) {
-		t.Errorf("err = %v", err)
-	}
-	// Degenerate sizes.
-	if err := forEachParallel(0, 4, func(int) error { return wantErr }); err != nil {
-		t.Error("n=0 should be a no-op")
-	}
-}
-
-// TestForEachParallelDeterministicError: when several indexes fail, the
-// returned error must always be the lowest index's — not whichever
-// worker reported first. The failing indexes are spread so that under
-// racy first-error-wins semantics a later index usually won.
-func TestForEachParallelDeterministicError(t *testing.T) {
-	errAt := func(i int) error { return fmt.Errorf("fail@%d", i) }
-	for round := 0; round < 50; round++ {
-		err := forEachParallel(64, 8, func(i int) error {
-			switch {
-			case i == 7:
-				// The lowest failure does a little work first, giving
-				// higher failing indexes a head start.
-				for j := 0; j < 1000; j++ {
-					_ = j * j
-				}
-				return errAt(i)
-			case i == 23 || i == 40 || i == 63:
-				return errAt(i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "fail@7" {
-			t.Fatalf("round %d: err = %v, want fail@7", round, err)
 		}
 	}
 }

@@ -44,13 +44,3 @@
 //	params, _ := reg.Params.Resolve(map[string]string{"k": "5"})
 //	results, _ := eng.RunRequests(core.Request{Name: "clusters", Params: params})
 package core
-
-import (
-	"repro/internal/model"
-	"repro/internal/synth"
-)
-
-// GenerateCorpus produces the paper-calibrated synthetic corpus.
-func GenerateCorpus(opt synth.Options) ([]*model.Run, error) {
-	return synth.Generate(opt)
-}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/speccpu"
 	"repro/internal/synth"
 )
@@ -619,7 +620,7 @@ func requestsFor(names []string) []Request {
 // fan-out safe — each (name, params) pair still runs at most once per
 // engine, with a full report costing max(analysis) wall-clock instead
 // of sum(analysis) — and errors stay deterministic: the lowest-index
-// failure wins, matching forEachParallel. Re-running a request is free.
+// failure wins, as in par.ForEach. Re-running a request is free.
 func (e *Engine) RunRequests(reqs ...Request) ([]Result, error) {
 	if len(reqs) == 0 {
 		reqs = requestsFor(nil)
@@ -650,7 +651,7 @@ func (e *Engine) RunRequests(reqs ...Request) ([]Result, error) {
 // ingestion happens once: the first worker to need the dataset pays for
 // it inside dsOnce while the others block on the same sync.Once.
 func (e *Engine) compute(reqs []Request, optional map[string]bool) error {
-	return forEachParallel(len(reqs), e.workers, func(i int) error {
+	return par.ForEach(len(reqs), e.workers, func(i int) error {
 		_, err := e.AnalysisRequest(reqs[i])
 		if optional[reqs[i].Name] {
 			return nil

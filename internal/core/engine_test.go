@@ -20,7 +20,7 @@ import (
 // smallEngine builds an engine over the small test corpus.
 func smallEngine(t *testing.T) *Engine {
 	t.Helper()
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func multiYearEngine(t *testing.T) *Engine {
 		{Year: 2020, Parsed: 10, AMDShare: 0.30, LinuxShare: 0.30, TwoSocketShare: 0.7},
 		{Year: 2023, Parsed: 10, AMDShare: 0.35, LinuxShare: 0.40, TwoSocketShare: 0.7},
 	}
-	runs, err := GenerateCorpus(opt)
+	runs, err := synth.Generate(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestEngineMemoization(t *testing.T) {
 }
 
 func TestEngineDatasetComputedOnce(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func (c countingSource) Each(workers int, yield func(*model.Run) error) error {
 // one probe computation.
 func TestEngineConcurrentHammer(t *testing.T) {
 	registerMemoProbe()
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestReportSectionsRegistered(t *testing.T) {
 // TestCachedSourceUnwritableCache: a cache that cannot be written is
 // best-effort — ingestion that already succeeded must not fail.
 func TestCachedSourceUnwritableCache(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +697,7 @@ func TestEngineLazyConstruction(t *testing.T) {
 // race on Dataset, one Compute per memoized computation (hits silent),
 // each with the analysis identity and a positive duration.
 func TestEngineObserver(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -803,7 +803,7 @@ func TestEngineObserverIngestError(t *testing.T) {
 // did the work, hits carry the asker, unowned work reports a nil owner,
 // and kernel events reach the hook only from owned computations.
 func TestEngineHookOwner(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -849,7 +849,7 @@ func TestEngineHookOwner(t *testing.T) {
 func TestEngineMemoStats(t *testing.T) {
 	registerMemoProbe()
 	var hits atomic.Int64
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

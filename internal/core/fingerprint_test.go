@@ -35,7 +35,7 @@ func TestSynthSourceFingerprint(t *testing.T) {
 }
 
 func TestSliceSourceFingerprint(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSliceSourceFingerprint(t *testing.T) {
 }
 
 func TestDirSourceFingerprintTracksFiles(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDirSourceFingerprintTracksFiles(t *testing.T) {
 }
 
 func TestCombinatorFingerprints(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

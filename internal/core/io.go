@@ -16,7 +16,7 @@ func WriteCorpus(dir string, runs []*model.Run, workers int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: create corpus dir: %w", err)
 	}
-	return forEachParallel(len(runs), workers, func(i int) error {
+	return par.ForEach(len(runs), workers, func(i int) error {
 		r := runs[i]
 		path := filepath.Join(dir, r.ID+".txt")
 		f, err := os.Create(path)
@@ -29,29 +29,4 @@ func WriteCorpus(dir string, runs []*model.Run, workers int) error {
 		}
 		return f.Close()
 	})
-}
-
-// LoadRuns parses every *.txt result file under dir, sharding across
-// workers goroutines (0 = GOMAXPROCS). Files are processed in sorted
-// name order so the result is deterministic. It materializes the whole
-// corpus; prefer streaming through DirSource when only the classified
-// dataset is needed.
-func LoadRuns(dir string, workers int) ([]*model.Run, error) {
-	var runs []*model.Run
-	err := DirSource{Dir: dir}.Each(workers, func(r *model.Run) error {
-		runs = append(runs, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
-// forEachParallel runs fn(0..n-1) on a bounded worker pool with
-// lowest-index-deterministic errors. The implementation lives in
-// internal/par so the clustering subsystem shares the same pool
-// semantics; this wrapper keeps core's internal call sites unchanged.
-func forEachParallel(n, workers int, fn func(i int) error) error {
-	return par.ForEach(n, workers, fn)
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 // countingRender returns a render func that counts its calls and wraps
@@ -124,7 +125,7 @@ func TestAnalysisRenderedRenderError(t *testing.T) {
 // input stage gained rows and keeps it on the rest, and paramMemoLimit
 // eviction drops it with the evicted entry.
 func TestAnalysisRenderedDroppedWithMemo(t *testing.T) {
-	runs, err := GenerateCorpus(appendTestOptions())
+	runs, err := synth.Generate(appendTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestAnalysisRenderedDroppedWithMemo(t *testing.T) {
 // the bytes render receives are WriteReport's — and any append drops
 // it, so the next call renders the grown corpus.
 func TestReportRendered(t *testing.T) {
-	runs, err := GenerateCorpus(appendTestOptions())
+	runs, err := synth.Generate(appendTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

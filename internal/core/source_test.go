@@ -10,10 +10,11 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/synth"
 )
 
 func TestSliceSourceRoundTrip(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDirSourceEmptyDir(t *testing.T) {
 // workers, the reported error is always the alphabetically first bad
 // file.
 func TestDirSourceDeterministicError(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDirSourceDeterministicError(t *testing.T) {
 // ingestion never holds more than workers parsed runs outside the
 // consumer, however slow the consumer is.
 func TestDirSourceStreamingBound(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestDirSourceStreamingBound(t *testing.T) {
 // subdirectories, mixed-case extensions) stream completely and
 // deterministically.
 func TestDirSourceNestedCorpus(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestDirSourceNestedCorpus(t *testing.T) {
 // TestDirSourceOrder: parallel ingestion delivers runs in sorted
 // file-name order, matching the sequential path.
 func TestDirSourceOrder(t *testing.T) {
-	runs, err := GenerateCorpus(smallOptions())
+	runs, err := synth.Generate(smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

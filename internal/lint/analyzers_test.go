@@ -13,7 +13,8 @@ import (
 // comment must be hit by an unsuppressed diagnostic, every diagnostic
 // must be wanted, and the nearest legitimate patterns (seeded private
 // rand, sorted map range, var-initializer registration, typed getter
-// reads, Canonical as a memo key) must stay silent.
+// reads, Canonical as a memo key, a method or const nobody uses) must
+// stay silent.
 
 func TestNoDeterminismFixture(t *testing.T) {
 	linttest.Run(t, "testdata/src/nodeterminism", lint.NoDeterminism)
@@ -29,6 +30,30 @@ func TestRegisterInitFixture(t *testing.T) {
 
 func TestParamAccessFixture(t *testing.T) {
 	linttest.Run(t, "testdata/src/paramaccess", lint.ParamAccess)
+}
+
+// The testonly fixture is a module of its own (it has a go.mod), so
+// the fixture load covers its whole module and the analyzer reports.
+func TestTestOnlyFixture(t *testing.T) {
+	linttest.Run(t, "testdata/src/testonly", lint.TestOnly)
+}
+
+// TestTestOnlyQuietOnSubtree: a load of part of the module cannot see
+// the callers elsewhere, so testonly must report nothing rather than
+// flag every export of the loaded packages that only the rest of the
+// module calls.
+func TestTestOnlyQuietOnSubtree(t *testing.T) {
+	root, err := lint.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lint.Load(root, []string{"internal/stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range lint.Run(prog, []*lint.Analyzer{lint.TestOnly}) {
+		t.Errorf("subtree run reported: %s", d)
+	}
 }
 
 // TestAllowDirectiveHygiene pins the escape hatch's own contract over

@@ -1,8 +1,9 @@
-// Package lint is the repo's custom static-analysis suite: four
-// analyzers that mechanically enforce the determinism and registry
+// Package lint is the repo's custom static-analysis suite: five
+// analyzers. Four mechanically enforce the determinism and registry
 // invariants every serving guarantee rests on (byte-identical analysis
 // output under -race, canonical-param cache/ETag identity, complete
-// registry before any engine exists). The example-based tests pin those
+// registry before any engine exists); the fifth keeps the internal API
+// down to what the program calls. The example-based tests pin those
 // properties for the code that exists today; the analyzers stop the
 // next change from silently breaking them.
 //
@@ -31,6 +32,17 @@
 //     typed getters; re-parsing a getter's string result (strconv over
 //     p.Str, strings.Split of a smuggled list) means the knob should
 //     have been declared with the right Kind instead.
+//   - testonly: an exported package-level func, type or var under an
+//     internal/ directory must be used, by object, in some loaded
+//     non-test file outside its own declaration (a type's methods are
+//     part of its declaration). Methods and consts are exempt, and so
+//     are packages whose name ends in "test", which are test support
+//     by Go convention (linttest). It reports only when the program
+//     covers every package directory of the module ("./...", the
+//     nested perfbench module included); a subtree run cannot see the
+//     callers elsewhere and stays quiet. That is why test support is
+//     exempt by package name and not by a //lint:allow directive,
+//     which a subtree run would report as stale.
 //
 // Findings the code can justify are suppressed in place with
 //

@@ -36,6 +36,8 @@ type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by import path
 
+	root string // module root directory (absolute)
+
 	decls map[*types.Func]funcDecl
 	reach *reachability // built lazily by Reachable
 }
@@ -122,6 +124,7 @@ func Analyzers() []*Analyzer {
 		MapSort,
 		RegisterInit,
 		ParamAccess,
+		TestOnly,
 	}
 }
 

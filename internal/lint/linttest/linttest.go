@@ -1,12 +1,13 @@
 // Package linttest is the fixture harness for the internal/lint
 // analyzers, playing the role golang.org/x/tools' analysistest plays
-// upstream: a fixture package under testdata/src/<analyzer> is loaded
-// and analyzed, and every line carrying a `// want "regexp"` comment
-// must produce a matching unsuppressed diagnostic — no more, no fewer.
+// upstream: the packages under testdata/src/<analyzer> are loaded and
+// analyzed, and every line carrying a `// want "regexp"` comment must
+// produce a matching unsuppressed diagnostic — no more, no fewer.
 // Fixture files may import module packages (repro/internal/analysis,
-// typically, so registrations look real to the call-graph walkers);
-// they live under testdata, so the go tool never builds them and their
-// deliberate violations stay out of the real tree's gate.
+// typically, so registrations look real to the call-graph walkers), or
+// the fixture may be a module of its own with a go.mod at its root;
+// either way it lives under testdata, so the go tool never builds it
+// and its deliberate violations stay out of the real tree's gate.
 package linttest
 
 import (
@@ -30,8 +31,9 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the fixture directory as a program and checks the given
-// analyzers' unsuppressed diagnostics against its want comments.
+// Run loads every package under the fixture directory as a program and
+// checks the given analyzers' unsuppressed diagnostics against its want
+// comments.
 // Diagnostics outside the fixture directory (in imported module
 // packages) are ignored: the real tree's findings are the self-check
 // test's business, not the fixtures'.
@@ -45,7 +47,11 @@ func Run(t *testing.T, fixtureDir string, analyzers ...*lint.Analyzer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := lint.Load(root, []string{dir})
+	dirs, err := lint.ExpandPatterns(dir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lint.Load(root, dirs)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", fixtureDir, err)
 	}
@@ -86,19 +92,14 @@ func Run(t *testing.T, fixtureDir string, analyzers ...*lint.Analyzer) {
 // collectWants scans every fixture file for want comments.
 func collectWants(t *testing.T, dir string) (map[string][]*expectation, error) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
 	wants := map[string][]*expectation{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		path := filepath.Join(dir, e.Name())
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			m := wantRE.FindStringSubmatch(line)
@@ -117,8 +118,9 @@ func collectWants(t *testing.T, dir string) (map[string][]*expectation, error) {
 				wants[path] = append(wants[path], &expectation{re: re, line: i + 1})
 			}
 		}
-	}
-	return wants, nil
+		return nil
+	})
+	return wants, err
 }
 
 // splitQuoted returns the double-quoted string literals at the start

@@ -57,7 +57,7 @@ func Load(root string, dirs []string) (*Program, error) {
 			return nil, err
 		}
 	}
-	prog := &Program{Fset: fset}
+	prog := &Program{Fset: fset, root: root}
 	for _, pkg := range ld.pkgs {
 		prog.Pkgs = append(prog.Pkgs, pkg)
 	}

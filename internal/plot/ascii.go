@@ -35,73 +35,6 @@ func ASCIIScatter(pts []Pt, ax Axes) string {
 	return grid.render(ax, xlo, xhi, ylo, yhi, legendASCII(ax.ClassNames))
 }
 
-// ASCIILines renders one or more line series; each series gets the
-// marker of its index.
-func ASCIILines(series []Series, ax Axes) string {
-	ax = ax.sized()
-	var allX, allY []float64
-	for _, s := range series {
-		allX = append(allX, s.X...)
-		allY = append(allY, s.Y...)
-	}
-	xlo, xhi := dataRange(allX)
-	ylo, yhi := dataRange(allY)
-	if ax.YMax > ax.YMin {
-		ylo, yhi = ax.YMin, ax.YMax
-	}
-	grid := newGrid(ax.Width, ax.Height)
-	names := make([]string, len(series))
-	for si, s := range series {
-		names[si] = s.Name
-		for i := range s.X {
-			if i > 0 {
-				// Interpolate between consecutive points for continuity.
-				steps := ax.Width / max(1, len(s.X)-1)
-				for k := 0; k <= steps; k++ {
-					t := float64(k) / float64(max(1, steps))
-					x := s.X[i-1] + (s.X[i]-s.X[i-1])*t
-					y := s.Y[i-1] + (s.Y[i]-s.Y[i-1])*t
-					grid.set(scale(x, xlo, xhi, ax.Width),
-						scale(y, ylo, yhi, ax.Height), markerFor(si))
-				}
-			}
-			grid.set(scale(s.X[i], xlo, xhi, ax.Width),
-				scale(s.Y[i], ylo, yhi, ax.Height), markerFor(si))
-		}
-	}
-	if len(ax.ClassNames) == 0 {
-		ax.ClassNames = names
-	}
-	return grid.render(ax, xlo, xhi, ylo, yhi, legendASCII(ax.ClassNames))
-}
-
-// ASCIIBars renders a horizontal bar chart.
-func ASCIIBars(labels []string, values []float64, ax Axes) string {
-	ax = ax.sized()
-	_, hi := dataRange(values)
-	if hi <= 0 {
-		hi = 1
-	}
-	labelW := labelWidth(labels)
-	var b strings.Builder
-	if ax.Title != "" {
-		fmt.Fprintf(&b, "%s\n", ax.Title)
-	}
-	for i, v := range values {
-		bar := int(v / hi * float64(ax.Width))
-		if bar < 0 {
-			bar = 0
-		}
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		fmt.Fprintf(&b, "%s |%s %s\n", padLabel(label, labelW),
-			strings.Repeat("=", bar), fmtTick(v))
-	}
-	return b.String()
-}
-
 // ASCIIBoxes renders box plots, one row per labelled box, on a shared
 // horizontal scale (used for Figure 4).
 func ASCIIBoxes(labels []string, boxes []stats.BoxStats, ax Axes) string {
@@ -245,11 +178,4 @@ func legendASCII(names []string) string {
 		parts[i] = fmt.Sprintf("%c=%s", markerFor(i), n)
 	}
 	return "legend: " + strings.Join(parts, "  ")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -39,32 +39,6 @@ func TestASCIIScatterDegenerate(t *testing.T) {
 	_ = ASCIIScatter([]Pt{{X: math.NaN(), Y: math.NaN()}}, Axes{})
 }
 
-func TestASCIILines(t *testing.T) {
-	out := ASCIILines([]Series{
-		{Name: "mean", X: []float64{2006, 2010, 2020}, Y: []float64{0.7, 0.35, 0.2}},
-		{Name: "median", X: []float64{2006, 2010, 2020}, Y: []float64{0.65, 0.3, 0.18}},
-	}, Axes{Width: 40, Height: 8})
-	if !strings.Contains(out, "mean") || !strings.Contains(out, "median") {
-		t.Errorf("legend missing:\n%s", out)
-	}
-}
-
-func TestASCIIBars(t *testing.T) {
-	out := ASCIIBars(
-		[]string{"Windows", "Linux"},
-		[]float64{0.97, 0.03},
-		Axes{Title: "OS share", Width: 30},
-	)
-	if !strings.Contains(out, "Windows") || !strings.Contains(out, "=") {
-		t.Errorf("bars missing:\n%s", out)
-	}
-	// Larger value gets a longer bar.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if strings.Count(lines[1], "=") <= strings.Count(lines[2], "=") {
-		t.Errorf("bar lengths not ordered:\n%s", out)
-	}
-}
-
 func TestASCIIBoxes(t *testing.T) {
 	boxes := []stats.BoxStats{
 		stats.Box([]float64{0.6, 0.7, 0.75, 0.8, 0.85}),
@@ -104,12 +78,6 @@ func TestASCIIConstantSeries(t *testing.T) {
 	if !strings.Contains(out, "x") && !strings.Contains(out, "o") {
 		t.Errorf("constant scatter rendered empty:\n%s", out)
 	}
-	out = ASCIILines([]Series{
-		{Name: "flat", X: []float64{2020, 2021, 2022}, Y: []float64{5, 5, 5}},
-	}, Axes{Width: 30, Height: 8})
-	if !strings.Contains(out, "x") {
-		t.Errorf("constant line rendered empty:\n%s", out)
-	}
 	boxes := []stats.BoxStats{stats.Box([]float64{1, 1, 1, 1})}
 	out = ASCIIBoxes([]string{"2020"}, boxes, Axes{Width: 30})
 	if !strings.Contains(out, "M") {
@@ -122,14 +90,9 @@ func TestASCIIConstantSeries(t *testing.T) {
 func TestASCIIEmptyAndNaN(t *testing.T) {
 	nan := math.NaN()
 	for name, out := range map[string]string{
-		"empty-lines":  ASCIILines(nil, Axes{Width: 20, Height: 5}),
-		"empty-series": ASCIILines([]Series{{Name: "void"}}, Axes{Width: 20, Height: 5}),
-		"nan-lines": ASCIILines([]Series{
-			{Name: "nan", X: []float64{1, 2}, Y: []float64{nan, nan}},
-		}, Axes{Width: 20, Height: 5}),
+		"empty-scatter": ASCIIScatter(nil, Axes{Width: 20, Height: 5}),
 		"nan-scatter": ASCIIScatter([]Pt{{X: nan, Y: nan}, {X: nan, Y: nan}},
 			Axes{Width: 20, Height: 5}),
-		"empty-bars":    ASCIIBars(nil, nil, Axes{Title: "empty", Width: 20}),
 		"empty-stacked": ASCIIStacked(nil, nil, Axes{Title: "empty", Width: 20}),
 	} {
 		if out == "" {
@@ -163,7 +126,7 @@ func barStarts(t *testing.T, out, sep string) []int {
 }
 
 // TestASCIIMultibyteLabels: multibyte labels must not shift the columns
-// of bar, box, or stacked charts (len counts bytes, not runes).
+// of box or stacked charts (len counts bytes, not runes).
 func TestASCIIMultibyteLabels(t *testing.T) {
 	labels := []string{"año", "東京", "plain"}
 	assertAligned := func(name, out, sep string) {
@@ -179,7 +142,6 @@ func TestASCIIMultibyteLabels(t *testing.T) {
 			}
 		}
 	}
-	assertAligned("bars", ASCIIBars(labels, []float64{3, 2, 1}, Axes{Width: 20}), "|")
 	// Identical box stats per row: the whisker glyphs land on the same
 	// chart columns, so any drift comes from label padding.
 	box := stats.Box([]float64{1, 2, 3})

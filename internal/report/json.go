@@ -83,52 +83,6 @@ func ToJSONRun(r *model.Run) JSONRun {
 	return j
 }
 
-// FromJSONRun converts back to a model run. Unparseable dates become
-// zero values for the consistency checks to classify, mirroring the
-// text parser's leniency.
-func FromJSONRun(j JSONRun) *model.Run {
-	parse := func(s string) model.YearMonth {
-		ym, err := model.ParseYearMonth(s)
-		if err != nil {
-			return model.YearMonth{}
-		}
-		return ym
-	}
-	r := &model.Run{
-		ID:             j.ID,
-		Accepted:       j.Accepted,
-		TestDate:       parse(j.TestDate),
-		SubmissionDate: parse(j.SubmissionDate),
-		HWAvail:        parse(j.HWAvail),
-		SWAvail:        parse(j.SWAvail),
-		SystemVendor:   j.SystemVendor,
-		SystemName:     j.SystemName,
-		CPUName:        j.CPUName,
-		CPUVendor:      model.ParseCPUVendor(j.CPUName),
-		CPUClass:       model.ClassifyCPU(j.CPUName),
-		Nodes:          j.Nodes,
-		SocketsPerNode: j.SocketsPerNode,
-		CoresPerSocket: j.CoresPerSocket,
-		ThreadsPerCore: j.ThreadsPerCore,
-		TotalCores:     j.TotalCores,
-		TotalThreads:   j.TotalThreads,
-		NominalGHz:     j.NominalGHz,
-		TDPWatts:       j.TDPWatts,
-		MemGB:          j.MemGB,
-		PSUWatts:       j.PSUWatts,
-		OSName:         j.OSName,
-		OSFamily:       model.ParseOSFamily(j.OSName),
-		JVM:            j.JVM,
-	}
-	for _, p := range j.Points {
-		r.Points = append(r.Points, model.LoadPoint{
-			TargetLoad: p.TargetLoad, ActualOps: p.SSJOps, AvgPower: p.AvgWatts,
-		})
-	}
-	r.SortPoints()
-	return r
-}
-
 // WriteJSON writes runs as a JSON array.
 func WriteJSON(w io.Writer, runs []*model.Run) error {
 	out := make([]JSONRun, len(runs))
@@ -141,17 +95,4 @@ func WriteJSON(w io.Writer, runs []*model.Run) error {
 		return fmt.Errorf("report: encode json: %w", err)
 	}
 	return nil
-}
-
-// ReadJSON reads a JSON array of runs.
-func ReadJSON(r io.Reader) ([]*model.Run, error) {
-	var in []JSONRun
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("report: decode json: %w", err)
-	}
-	out := make([]*model.Run, len(in))
-	for i, j := range in {
-		out[i] = FromJSONRun(j)
-	}
-	return out, nil
 }

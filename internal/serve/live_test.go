@@ -388,7 +388,7 @@ func TestLiveConcurrentAppendReads(t *testing.T) {
 // ETag, and that body must be the one a server built over the whole
 // corpus at once serves.
 func TestLiveClusteringHistoryIndependent(t *testing.T) {
-	runs, err := core.GenerateCorpus(synth.DefaultOptions())
+	runs, err := synth.Generate(synth.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

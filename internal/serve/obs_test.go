@@ -170,7 +170,7 @@ func auditServer(t *testing.T, cfg Config) (*Server, *obs.AuditLog, string) {
 func TestAuditIntegration(t *testing.T) {
 	// The report section needs enough yearly bins for its trend tests, so
 	// this test runs over a wider corpus than the two-year default.
-	runs, err := core.GenerateCorpus(synth.Options{
+	runs, err := synth.Generate(synth.Options{
 		Seed: 7,
 		Plan: []synth.YearPlan{
 			{Year: 2008, Parsed: 10, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},

@@ -23,7 +23,7 @@ import (
 // bins for its trend tests, more than testRuns' two years.
 func reportRuns(t testing.TB) []*model.Run {
 	t.Helper()
-	runs, err := core.GenerateCorpus(synth.Options{
+	runs, err := synth.Generate(synth.Options{
 		Seed: 7,
 		Plan: []synth.YearPlan{
 			{Year: 2008, Parsed: 10, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},

@@ -22,7 +22,7 @@ import (
 // defaultCorpus is the default synthetic corpus, generated once per
 // test binary.
 var defaultCorpus = sync.OnceValues(func() ([]*model.Run, error) {
-	return core.GenerateCorpus(synth.DefaultOptions())
+	return synth.Generate(synth.DefaultOptions())
 })
 
 func defaultRuns(t testing.TB) []*model.Run {

@@ -36,7 +36,7 @@ func (c countingSource) Each(workers int, yield func(*model.Run) error) error {
 
 func testRuns(t testing.TB) []*model.Run {
 	t.Helper()
-	runs, err := core.GenerateCorpus(synth.Options{
+	runs, err := synth.Generate(synth.Options{
 		Seed: 7,
 		Plan: []synth.YearPlan{
 			{Year: 2009, Parsed: 12, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},
@@ -622,7 +622,7 @@ func TestScopeCanonicalization(t *testing.T) {
 func TestReportEndpoint(t *testing.T) {
 	// The full report needs enough yearly bins for the trend tests, so
 	// it gets a wider corpus than the two-year default.
-	runs, err := core.GenerateCorpus(synth.Options{
+	runs, err := synth.Generate(synth.Options{
 		Seed: 7,
 		Plan: []synth.YearPlan{
 			{Year: 2008, Parsed: 10, AMDShare: 0.25, LinuxShare: 0.02, TwoSocketShare: 0.7},

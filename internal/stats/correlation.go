@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson product-moment correlation of the finite
@@ -50,61 +49,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return r, nil
 }
 
-// Spearman returns the Spearman rank correlation: the Pearson
-// correlation of the rank-transformed data, with ties assigned the mean
-// of the ranks they span (fractional ranking).
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: Spearman length mismatch %d != %d", len(xs), len(ys))
-	}
-	// Keep only jointly finite pairs so the two rank vectors align.
-	var fx, fy []float64
-	for i := range xs {
-		if finite(xs[i]) && finite(ys[i]) {
-			fx = append(fx, xs[i])
-			fy = append(fy, ys[i])
-		}
-	}
-	if len(fx) < 2 {
-		return 0, fmt.Errorf("stats: Spearman needs ≥2 finite pairs, have %d", len(fx))
-	}
-	return Pearson(Ranks(fx), Ranks(fy))
-}
-
-// Ranks returns the fractional (mid) ranks of xs, 1-based: the smallest
-// value gets rank 1, and tied values share the mean of the ranks they
-// occupy. NaN entries receive NaN ranks.
-func Ranks(xs []float64) []float64 {
-	type iv struct {
-		idx int
-		v   float64
-	}
-	ordered := make([]iv, 0, len(xs))
-	for i, x := range xs {
-		if finite(x) {
-			ordered = append(ordered, iv{i, x})
-		}
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].v < ordered[b].v })
-	ranks := make([]float64, len(xs))
-	for i := range ranks {
-		ranks[i] = math.NaN()
-	}
-	for i := 0; i < len(ordered); {
-		j := i
-		for j < len(ordered) && ordered[j].v == ordered[i].v {
-			j++
-		}
-		// Ranks i+1 .. j span the tie group; assign their mean.
-		mean := float64(i+1+j) / 2
-		for k := i; k < j; k++ {
-			ranks[ordered[k].idx] = mean
-		}
-		i = j
-	}
-	return ranks
-}
-
 // CorrMatrix computes the pairwise Pearson correlation matrix of the
 // given named columns. Entries that cannot be computed (degenerate
 // columns) are NaN. The result is symmetric with a unit diagonal.
@@ -126,4 +70,8 @@ func CorrMatrix(cols map[string][]float64, names []string) [][]float64 {
 		}
 	}
 	return m
+}
+
+func finite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }

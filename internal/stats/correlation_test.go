@@ -25,6 +25,18 @@ func TestPearsonPerfect(t *testing.T) {
 	if !almostEq(r, -1, 1e-12) {
 		t.Errorf("Pearson = %v, want -1", r)
 	}
+	// A monotone but nonlinear relation stays visibly below 1.
+	exp := make([]float64, len(xs))
+	for i, x := range xs {
+		exp[i] = math.Exp(x)
+	}
+	r, err = Pearson(xs, exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r >= 0.999 {
+		t.Errorf("Pearson = %v, expected visibly < 1", r)
+	}
 }
 
 func TestPearsonErrors(t *testing.T) {
@@ -60,78 +72,6 @@ func TestPearsonBounded(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly monotone transform has Spearman exactly 1.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x) // nonlinear but monotone
-	}
-	rho, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", rho)
-	}
-	// Pearson of the same data is below 1 (nonlinearity).
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r >= 0.999 {
-		t.Errorf("Pearson = %v, expected visibly < 1", r)
-	}
-}
-
-func TestSpearmanSkipsNaNPairs(t *testing.T) {
-	xs := []float64{1, math.NaN(), 3, 4}
-	ys := []float64{1, 100, 3, 4}
-	rho, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", rho)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	ranks := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if !almostEq(ranks[i], want[i], 1e-12) {
-			t.Fatalf("Ranks = %v, want %v", ranks, want)
-		}
-	}
-}
-
-func TestRanksNaN(t *testing.T) {
-	ranks := Ranks([]float64{5, math.NaN(), 1})
-	if !math.IsNaN(ranks[1]) {
-		t.Errorf("NaN input should yield NaN rank, got %v", ranks[1])
-	}
-	if ranks[0] != 2 || ranks[2] != 1 {
-		t.Errorf("Ranks = %v", ranks)
-	}
-}
-
-func TestRanksSumInvariant(t *testing.T) {
-	// Fractional ranks of n finite values always sum to n(n+1)/2.
-	f := func(raw []float64) bool {
-		xs := DropNaN(raw)
-		n := len(xs)
-		if n == 0 {
-			return true
-		}
-		sum := Sum(Ranks(xs))
-		return almostEq(sum, float64(n*(n+1))/2, 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCorrMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 200
@@ -156,100 +96,5 @@ func TestCorrMatrix(t *testing.T) {
 	}
 	if m[0][1] != m[1][0] {
 		t.Error("matrix must be symmetric")
-	}
-}
-
-func TestBootstrapMeanCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 10 + rng.NormFloat64()
-	}
-	ci, err := BootstrapMeanCI(xs, 400, 0.95, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > ci.Point || ci.Point > ci.Hi {
-		t.Errorf("CI not ordered: %+v", ci)
-	}
-	if ci.Lo < 9.5 || ci.Hi > 10.5 {
-		t.Errorf("CI implausibly wide: %+v", ci)
-	}
-	// Determinism under the same seed.
-	ci2, _ := BootstrapMeanCI(xs, 400, 0.95, 42)
-	if ci != ci2 {
-		t.Error("bootstrap not deterministic under fixed seed")
-	}
-}
-
-func TestBootstrapErrors(t *testing.T) {
-	if _, err := BootstrapMeanCI(nil, 100, 0.95, 1); err == nil {
-		t.Error("empty sample should error")
-	}
-	if _, err := BootstrapMeanCI([]float64{1, 2}, 0, 0.95, 1); err == nil {
-		t.Error("zero resamples should error")
-	}
-	if _, err := BootstrapMeanCI([]float64{1, 2}, 10, 1.5, 1); err == nil {
-		t.Error("bad level should error")
-	}
-	if _, err := BootstrapMedianCI([]float64{1, 2, 3}, 10, 0.9, 1); err != nil {
-		t.Errorf("median CI: %v", err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 1.6, 2.5, 3.5, 4.0, -1, 99, math.NaN()}
-	h, err := NewHistogram(xs, 4, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCounts := []int{1, 2, 1, 2} // 4.0 lands in the closed top bin
-	for i, w := range wantCounts {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 0, 1); err == nil {
-		t.Error("0 bins should error")
-	}
-	if _, err := NewHistogram(nil, 3, 2, 2); err == nil {
-		t.Error("empty range should error")
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	xs := []float64{1.1, 1.2, 1.3, 3.7}
-	h, err := NewHistogram(xs, 4, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Mode(); !almostEq(got, 1.5, 1e-12) {
-		t.Errorf("Mode = %v, want 1.5", got)
-	}
-	empty, _ := NewHistogram(nil, 4, 0, 4)
-	if !math.IsNaN(empty.Mode()) {
-		t.Error("Mode of empty histogram should be NaN")
-	}
-}
-
-func TestHistogramConservation(t *testing.T) {
-	f := func(raw []float64) bool {
-		h, err := NewHistogram(raw, 7, -100, 100)
-		if err != nil {
-			return false
-		}
-		return h.Total()+h.Under+h.Over == Count(raw)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,19 +6,6 @@ import (
 	"repro/internal/stats"
 )
 
-// ExampleLinReg shows the two-point idle extrapolation the paper uses
-// (Section IV): fit the 10 % and 20 % load powers, evaluate at 0 %.
-func ExampleLinReg() {
-	fit, err := stats.LinReg([]float64{10, 20}, []float64{150, 180})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("extrapolated idle: %.0f W\n", fit.Predict(0))
-	// Output:
-	// extrapolated idle: 120 W
-}
-
 // ExampleMannKendall tests a yearly series for a monotonic trend.
 func ExampleMannKendall() {
 	idleFraction := []float64{0.70, 0.62, 0.51, 0.40, 0.33, 0.25, 0.21, 0.18, 0.16}
