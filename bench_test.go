@@ -189,15 +189,19 @@ func BenchmarkSubmissionTrends(b *testing.B) {
 
 func BenchmarkPowerGrowth(b *testing.B) {
 	ds := dataset(b)
+	growth, err := analysis.PowerGrowth(ds.Comparable)
+	if err != nil {
+		b.Fatal(err)
+	}
 	out := "\n"
-	for _, g := range analysis.PowerGrowth(ds.Comparable) {
+	for _, g := range growth {
 		out += fmt.Sprintf("[S3] load %3d%%: early %.1fW late %.1fW ×%.2f\n",
 			g.Load, g.EarlyMean, g.LateMean, g.Factor)
 	}
 	printOnce("s3", out)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.PowerGrowth(ds.Comparable)
+		_, _ = analysis.PowerGrowth(ds.Comparable)
 	}
 }
 
@@ -214,14 +218,17 @@ func BenchmarkTopEfficient(b *testing.B) {
 
 func BenchmarkRecentFeatureStats(b *testing.B) {
 	ds := dataset(b)
-	s := analysis.RecentFeatures(ds.Comparable, 2021)
+	s, err := analysis.RecentFeatures(ds.Comparable, 2021)
+	if err != nil {
+		b.Fatal(err)
+	}
 	printOnce("s6", fmt.Sprintf(
 		"\n[S6] since 2021: cores AMD %.1f / Intel %.1f; GHz %.2f±%.2f / %.2f±%.2f (paper 85.8/39.5; ≈2.3, σ .3/.5)\n",
 		s.AMD.MeanCores, s.Intel.MeanCores,
 		s.AMD.MeanGHz, s.AMD.StdGHz, s.Intel.MeanGHz, s.Intel.StdGHz))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.RecentFeatures(ds.Comparable, 2021)
+		_, _ = analysis.RecentFeatures(ds.Comparable, 2021)
 	}
 }
 
@@ -292,7 +299,10 @@ func BenchmarkEnergyProportionality(b *testing.B) {
 
 func BenchmarkConfoundingScan(b *testing.B) {
 	ds := dataset(b)
-	findings := analysis.ConfoundingScan(ds.Comparable, 2021)
+	findings, err := analysis.ConfoundingScan(ds.Comparable, 2021)
+	if err != nil {
+		b.Fatal(err)
+	}
 	n := 0
 	for _, f := range findings {
 		if f.Confounded {
@@ -303,7 +313,7 @@ func BenchmarkConfoundingScan(b *testing.B) {
 		"\n[CF] %d of %d feature pairs vendor-confounded since 2021\n", n, len(findings)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = analysis.ConfoundingScan(ds.Comparable, 2021)
+		_, _ = analysis.ConfoundingScan(ds.Comparable, 2021)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Command specparse parses a directory of SPECpower_ssj2008 result
 // files, applies the paper's two-stage filter funnel, and emits the
-// dataset as CSV (one row per run, with all derived metrics).
+// dataset as CSV (one row per run, with all derived metrics) or, with
+// -format json, as a JSON array of full runs (report.JSONRun).
 //
 // Usage:
 //
-//	specparse -in corpus/ [-stage comparable|parsed|raw] [-o dataset.csv]
+//	specparse -in corpus/ [-stage comparable|parsed|raw] [-format csv|json] [-o dataset.csv]
 package main
 
 import (
@@ -64,7 +65,15 @@ func main() {
 			log.Fatal(err)
 		}
 	case "json":
-		if err := report.WriteJSON(w, runs); err != nil {
+		out := make([]report.JSONRun, len(runs))
+		for i, r := range runs {
+			out[i] = report.ToJSONRun(r)
+		}
+		body, err := core.EncodeJSON(out)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := w.Write(body); err != nil {
 			log.Fatal(err)
 		}
 	default:

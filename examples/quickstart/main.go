@@ -32,8 +32,8 @@ func main() {
 	fmt.Print(ds.Funnel)
 
 	// 3. Headline trends, by registry name. AnalysisAs asserts the
-	//    result type; eng.Run / eng.WriteJSON return the same values
-	//    untyped for generic output.
+	//    result type; eng.Run / eng.WriteJSONRequests return the same
+	//    values untyped for generic output.
 	growth, err := core.AnalysisAs[[]analysis.GrowthFactor](eng, "growth")
 	if err != nil {
 		log.Fatal(err)

@@ -86,7 +86,10 @@ func TestSubmissionTrendsS2(t *testing.T) {
 
 func TestPowerGrowthS3(t *testing.T) {
 	ds := dataset(t)
-	growth := PowerGrowth(ds.Comparable)
+	growth, err := PowerGrowth(ds.Comparable)
+	if err != nil {
+		t.Fatal(err)
+	}
 	byLoad := map[int]GrowthFactor{}
 	for _, g := range growth {
 		byLoad[g.Load] = g
@@ -322,7 +325,10 @@ func TestFig1Shares(t *testing.T) {
 
 func TestRecentFeaturesS6(t *testing.T) {
 	ds := dataset(t)
-	s := RecentFeatures(ds.Comparable, 2021)
+	s, err := RecentFeatures(ds.Comparable, 2021)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.AMD.N == 0 || s.Intel.N == 0 {
 		t.Fatal("empty vendor bins")
 	}

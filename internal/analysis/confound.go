@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/model"
@@ -41,8 +42,10 @@ var confoundFeatures = []struct {
 }
 
 // ConfoundingScan computes pooled vs within-vendor correlations for all
-// feature pairs over runs with hardware availability ≥ sinceYear.
-func ConfoundingScan(comparable []*model.Run, sinceYear int) []ConfoundFinding {
+// feature pairs over runs with hardware availability ≥ sinceYear. A
+// vendor stratum with fewer than two such runs, or a pair without a
+// correlation in one of the groups, is an error naming the group.
+func ConfoundingScan(comparable []*model.Run, sinceYear int) ([]ConfoundFinding, error) {
 	var pool, amd, intel []*model.Run
 	for _, r := range comparable {
 		if r.HWAvail.Year < sinceYear {
@@ -56,6 +59,15 @@ func ConfoundingScan(comparable []*model.Run, sinceYear int) []ConfoundFinding {
 			intel = append(intel, r)
 		}
 	}
+	groups := []struct {
+		name string
+		runs []*model.Run
+	}{{"all", pool}, {"AMD", amd}, {"Intel", intel}}
+	for _, g := range groups[1:] {
+		if len(g.runs) < 2 {
+			return nil, fmt.Errorf("analysis: confound has %d %s runs since %d, need at least 2", len(g.runs), g.name, sinceYear)
+		}
+	}
 	column := func(runs []*model.Run, m Metric) []float64 {
 		out := make([]float64, len(runs))
 		for i, r := range runs {
@@ -63,41 +75,40 @@ func ConfoundingScan(comparable []*model.Run, sinceYear int) []ConfoundFinding {
 		}
 		return out
 	}
-	corr := func(runs []*model.Run, a, b Metric) float64 {
-		r, err := stats.Pearson(column(runs, a), column(runs, b))
-		if err != nil {
-			return math.NaN()
-		}
-		return r
-	}
 	var out []ConfoundFinding
 	for i := 0; i < len(confoundFeatures); i++ {
 		for j := i + 1; j < len(confoundFeatures); j++ {
 			fx, fy := confoundFeatures[i], confoundFeatures[j]
+			var rs [3]float64
+			for k, g := range groups {
+				r, err := stats.Pearson(column(g.runs, fx.metric), column(g.runs, fy.metric))
+				if err != nil {
+					return nil, fmt.Errorf("analysis: confound %s↔%s over %s runs since %d: %w",
+						fx.name, fy.name, g.name, sinceYear, err)
+				}
+				rs[k] = r
+			}
 			f := ConfoundFinding{
 				FeatureX:    fx.name,
 				FeatureY:    fy.name,
-				Pooled:      corr(pool, fx.metric, fy.metric),
-				WithinAMD:   corr(amd, fx.metric, fy.metric),
-				WithinIntel: corr(intel, fx.metric, fy.metric),
+				Pooled:      rs[0],
+				WithinAMD:   rs[1],
+				WithinIntel: rs[2],
 			}
 			f.Confounded = isConfounded(f)
 			out = append(out, f)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // isConfounded flags pooled correlations that do not survive
 // stratification by vendor.
 func isConfounded(f ConfoundFinding) bool {
-	if math.IsNaN(f.Pooled) || math.Abs(f.Pooled) < 0.3 {
+	if math.Abs(f.Pooled) < 0.3 {
 		return false
 	}
 	weak := func(within float64) bool {
-		if math.IsNaN(within) {
-			return true
-		}
 		// Sign flip or magnitude collapse below half the pooled value.
 		return within*f.Pooled < 0 || math.Abs(within) < math.Abs(f.Pooled)/2
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -96,8 +97,10 @@ const (
 
 // PowerGrowth computes S3: mean per-socket power in the early and late
 // eras at the given loads (paper: ×2.5 at 100 %, ×2.2 at 70 %, ×1.8 at
-// 20 %, with 119.0 W → 303.3 W at full load).
-func PowerGrowth(comparable []*model.Run, loads ...int) []GrowthFactor {
+// 20 %, with 119.0 W → 303.3 W at full load). An era without a run
+// measured at a load is an error naming the era: its mean, and so the
+// factor, is undefined.
+func PowerGrowth(comparable []*model.Run, loads ...int) ([]GrowthFactor, error) {
 	if len(loads) == 0 {
 		loads = []int{100, 70, 20}
 	}
@@ -116,6 +119,12 @@ func PowerGrowth(comparable []*model.Run, loads ...int) []GrowthFactor {
 				late = append(late, v)
 			}
 		}
+		if len(early) == 0 {
+			return nil, fmt.Errorf("analysis: growth has no runs in the early era (hardware ≤ %d) at %d%% load", EarlyCut, load)
+		}
+		if len(late) == 0 {
+			return nil, fmt.Errorf("analysis: growth has no runs in the late era (hardware ≥ %d) at %d%% load", LateCut, load)
+		}
 		gf := GrowthFactor{
 			Load:      load,
 			EarlyMean: stats.Mean(early),
@@ -124,7 +133,7 @@ func PowerGrowth(comparable []*model.Run, loads ...int) []GrowthFactor {
 		gf.Factor = gf.LateMean / gf.EarlyMean
 		out = append(out, gf)
 	}
-	return out
+	return out, nil
 }
 
 // TopEfficiency is S4: vendor composition of the n most efficient runs.
@@ -211,8 +220,10 @@ type RecentFeatureStats struct {
 }
 
 // RecentFeatures computes S6 over runs with hardware availability in or
-// after sinceYear.
-func RecentFeatures(comparable []*model.Run, sinceYear int) RecentFeatureStats {
+// after sinceYear. A vendor with fewer than two such runs (no standard
+// deviation) or a feature pair without a correlation is an error naming
+// the group.
+func RecentFeatures(comparable []*model.Run, sinceYear int) (RecentFeatureStats, error) {
 	out := RecentFeatureStats{SinceYear: sinceYear}
 	cols := map[string][]float64{}
 	push := func(name string, v float64) { cols[name] = append(cols[name], v) }
@@ -236,6 +247,14 @@ func RecentFeatures(comparable []*model.Run, sinceYear int) RecentFeatureStats {
 		push("idle_quot", r.ExtrapolatedIdleQuotient())
 		push("overall_eff", r.OverallOpsPerWatt())
 	}
+	for _, g := range []struct {
+		vendor string
+		n      int
+	}{{"AMD", len(amdCores)}, {"Intel", len(intelCores)}} {
+		if g.n < 2 {
+			return out, fmt.Errorf("analysis: features has %d %s runs since %d, need at least 2", g.n, g.vendor, sinceYear)
+		}
+	}
 	out.AMD = VendorFeature{
 		N:         len(amdCores),
 		MeanCores: stats.Mean(amdCores),
@@ -249,6 +268,10 @@ func RecentFeatures(comparable []*model.Run, sinceYear int) RecentFeatureStats {
 		StdGHz:    stats.StdDev(intelGHz),
 	}
 	out.CorrNames = []string{"cores", "ghz", "tdp", "idle_frac", "idle_quot", "overall_eff"}
-	out.Corr = stats.CorrMatrix(cols, out.CorrNames)
-	return out
+	corr, err := stats.CorrMatrix(cols, out.CorrNames)
+	if err != nil {
+		return out, fmt.Errorf("analysis: features since %d: %w", sinceYear, err)
+	}
+	out.Corr = corr
+	return out, nil
 }

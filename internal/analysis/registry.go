@@ -234,7 +234,7 @@ func init() {
 		func(ds *Dataset) (any, error) { return SubmissionTrends(ds.Parsed), nil },
 		Reads(InputParsed), Text(submissionsText))
 	Register("growth", "S3: full-load power growth, early vs late era",
-		func(ds *Dataset) (any, error) { return PowerGrowth(ds.Comparable), nil },
+		func(ds *Dataset) (any, error) { return PowerGrowth(ds.Comparable) },
 		Reads(InputComparable), Text(growthText))
 	Register("top100", "S4: vendor composition of the 100 most efficient runs",
 		func(ds *Dataset) (any, error) { return TopEfficient(ds.Comparable, 100), nil },
@@ -243,7 +243,7 @@ func init() {
 		func(ds *Dataset) (any, error) { return IdleFractionHistory(ds.Comparable, 5), nil },
 		Reads(InputComparable), Text(idleHistoryText))
 	Register("features", "S6: per-vendor feature comparison since 2021",
-		func(ds *Dataset) (any, error) { return RecentFeatures(ds.Comparable, 2021), nil },
+		func(ds *Dataset) (any, error) { return RecentFeatures(ds.Comparable, 2021) },
 		Reads(InputComparable), Text(featuresText))
 	Register("trends", "Mann-Kendall + Theil-Sen trend tests behind the conclusions",
 		func(ds *Dataset) (any, error) { return PaperTrends(ds.Comparable, 0.10, ds.Workers) },
@@ -252,7 +252,7 @@ func init() {
 		func(ds *Dataset) (any, error) { return EPByYear(ds.Comparable), nil },
 		Reads(InputComparable), Text(epText))
 	Register("confound", "pooled vs within-vendor correlations since 2021",
-		func(ds *Dataset) (any, error) { return ConfoundingScan(ds.Comparable, 2021), nil },
+		func(ds *Dataset) (any, error) { return ConfoundingScan(ds.Comparable, 2021) },
 		Reads(InputComparable), Text(confoundText))
 	Register("changepoint", "Pettitt changepoint of the idle-fraction history",
 		func(ds *Dataset) (any, error) { return IdleFractionChangepoint(ds.Comparable, 5, 0.05) },

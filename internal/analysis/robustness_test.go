@@ -43,7 +43,11 @@ func TestStatisticsRobustAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d: no idle regression", seed)
 		}
 		// Power per socket grows at least 1.8×.
-		for _, g := range PowerGrowth(ds.Comparable) {
+		growth, err := PowerGrowth(ds.Comparable)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, g := range growth {
 			if g.Load == 100 && g.Factor < 1.8 {
 				t.Errorf("seed %d: full-load growth ×%.2f", seed, g.Factor)
 			}

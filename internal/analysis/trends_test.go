@@ -168,7 +168,10 @@ func TestEPByYearTrend(t *testing.T) {
 
 func TestConfoundingScan(t *testing.T) {
 	ds := dataset(t)
-	findings := ConfoundingScan(ds.Comparable, 2021)
+	findings, err := ConfoundingScan(ds.Comparable, 2021)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(findings) != 21 { // C(7,2)
 		t.Fatalf("findings = %d, want 21", len(findings))
 	}

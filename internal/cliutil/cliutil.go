@@ -1,11 +1,10 @@
 // Package cliutil holds the flag wiring shared by the command line
-// tools: specanalyze, specserve, and speccluster accept the same
+// tools: specanalyze and specserve accept the same
 // -in/-seed/-workers/-cache/-filter corpus flags and build their
 // core.Source through the same helper, so the binaries cannot drift.
 // ParamFlags adds the repeatable -p name.key=value analysis-parameter
 // flag (registered by specanalyze; specserve takes the same parameters
-// as query keys and speccluster as dedicated flags, all resolved
-// against the same declared schemas).
+// as query keys, both resolved against the same declared schemas).
 package cliutil
 
 import (

@@ -237,8 +237,9 @@ func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, e
 	return points, nil
 }
 
-// SweepTable renders a sweep as the text table every surface shares
-// (the terminal report and the speccluster CLI both print this).
+// SweepTable renders a sweep as the text table the cluster-sweep
+// analysis registers as its text form (specanalyze -only cluster-sweep
+// prints it).
 func SweepTable(points []SweepPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%4s %14s %12s\n", "k", "within-SSE", "silhouette")

@@ -217,7 +217,7 @@ func TestEngineAppendEquivalence(t *testing.T) {
 
 	batch := New(WithSource(SliceSource(runs)))
 	var want bytes.Buffer
-	if err := batch.WriteJSON(&want); err != nil {
+	if err := batch.WriteJSONRequests(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +233,7 @@ func TestEngineAppendEquivalence(t *testing.T) {
 		t.Fatalf("AppendStats.Appended = %d, want 7", st.Appended)
 	}
 	var got bytes.Buffer
-	if err := inc.WriteJSON(&got); err != nil {
+	if err := inc.WriteJSONRequests(&got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

@@ -16,17 +16,22 @@
 //	eng := core.New(core.WithSource(core.DirSource{Dir: dir}),
 //		core.WithWorkers(8))
 //	results, _ := eng.Run("fig3", "funnel") // lazy, memoized
-//	_ = eng.WriteJSON(os.Stdout, "trends")  // machine-readable output
+//	_ = eng.WriteJSONRequests(os.Stdout,    // machine-readable output
+//		core.Request{Name: "trends"})
 //
 // DirSource streams: result files are parsed by a bounded worker pool
 // and classified as they arrive, so corpora far larger than the
 // paper's 1017 runs never need to fit in memory at once. CachedSource
 // adds a gob parse cache next to the corpus so repeat ingestion skips
 // the parser, and FilterSource/MergeSource compose sources into corpus
-// scenarios (per-vendor slices, merged directories, …). Run, WriteJSON,
-// and WriteReport fan independent analyses out across the same worker
-// bound, so a full report costs max(analysis) rather than
-// sum(analysis).
+// scenarios (per-vendor slices, merged directories, …). Run,
+// WriteJSONRequests and WriteReport fan independent analyses out across
+// the same worker bound, so a full report costs max(analysis) rather
+// than sum(analysis).
+//
+// EncodeJSON is the module's one indented JSON encoder:
+// WriteJSONRequests, specserve's response bodies and specparse
+// -format json all write its bytes.
 //
 // Core knows no analysis's result type. Each registration carries its
 // own text renderer (analysis.Text); WriteAnalysisText prints one

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -98,8 +97,8 @@ func WithSource(s Source) Option {
 }
 
 // WithWorkers bounds the engine's parallelism — both the streaming
-// source's parser pool and the analysis fan-out of Run, WriteJSON, and
-// WriteReport (0 = GOMAXPROCS).
+// source's parser pool and the analysis fan-out of Run,
+// WriteJSONRequests, and WriteReport (0 = GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }
@@ -660,27 +659,22 @@ func (e *Engine) compute(reqs []Request, optional map[string]bool) error {
 	})
 }
 
-// WriteJSON runs the named analyses (empty = all) with default
-// parameters and writes them as an indented JSON array of
-// {name, description, value} objects — the machine-readable sibling of
-// WriteReport.
-func (e *Engine) WriteJSON(w io.Writer, names ...string) error {
-	return e.WriteJSONRequests(w, requestsFor(names)...)
-}
-
 // WriteJSONRequests runs the requested analyses (empty = all, default
-// parameters) and writes them as an indented JSON array; requests with
-// non-default parameters additionally carry their canonical params
-// string.
+// parameters) and writes them through EncodeJSON as an indented JSON
+// array of {name, description, value} objects — the machine-readable
+// sibling of WriteReport; requests with non-default parameters
+// additionally carry their canonical params string.
 func (e *Engine) WriteJSONRequests(w io.Writer, reqs ...Request) error {
 	results, err := e.RunRequests(reqs...)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	body, err := EncodeJSON(results)
+	if err != nil {
 		return fmt.Errorf("core: encode analyses: %w", err)
+	}
+	if _, err := w.Write(body); err != nil {
+		return fmt.Errorf("core: write analyses: %w", err)
 	}
 	return nil
 }
@@ -712,8 +706,11 @@ var reportSections = []struct {
 
 // reportBestEffort names the report analyses whose error drops their
 // text instead of failing the report: the changepoint needs enough
-// yearly bins, which a small corpus slice may not have.
-var reportBestEffort = map[string]bool{"changepoint": true}
+// yearly bins, growth both eras, and features and confound both
+// vendors since 2021, which a small corpus slice may not have.
+var reportBestEffort = map[string]bool{
+	"changepoint": true, "growth": true, "features": true, "confound": true,
+}
 
 // WriteReport prints the full study — funnel, all six figures, Table I
 // and the in-text statistics — as a terminal report, one reportSections
@@ -777,9 +774,11 @@ func writeText(w io.Writer, name string, v any) error {
 		reg.Text(w, v)
 		return nil
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	body, err := EncodeJSON(v)
+	if err == nil {
+		_, err = w.Write(body)
+	}
+	if err != nil {
 		return fmt.Errorf("core: render %s: %w", name, err)
 	}
 	return nil

@@ -506,7 +506,7 @@ func TestAnalysisAsTypeMismatch(t *testing.T) {
 func TestEngineWriteJSON(t *testing.T) {
 	eng := smallEngine(t)
 	var buf bytes.Buffer
-	if err := eng.WriteJSON(&buf, "funnel", "top100"); err != nil {
+	if err := eng.WriteJSONRequests(&buf, Request{Name: "funnel"}, Request{Name: "top100"}); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []struct {
@@ -530,7 +530,7 @@ func TestEngineWriteJSON(t *testing.T) {
 }
 
 // TestRunDescriptionsMatchRegistry pins the {name, description, value}
-// contract of Run/WriteJSON to the registry: every result carries its
+// contract of Run/WriteJSONRequests to the registry: every result carries its
 // registry description verbatim, so JSON consumers (the specanalyze
 // -json output, the HTTP server) never need a second lookup. This keeps
 // the engine output and the registry from drifting apart.
@@ -559,7 +559,7 @@ func TestRunDescriptionsMatchRegistry(t *testing.T) {
 	}
 	// And the JSON encoding carries all three fields for every result.
 	var buf bytes.Buffer
-	if err := eng.WriteJSON(&buf, names...); err != nil {
+	if err := eng.WriteJSONRequests(&buf, requestsFor(names)...); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]json.RawMessage

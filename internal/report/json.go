@@ -1,12 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // JSONRun is the JSON interchange form of a run: flat, with dates as
 // "Mon-YYYY" strings and classifications as names, so downstream tools
@@ -81,18 +75,4 @@ func ToJSONRun(r *model.Run) JSONRun {
 		})
 	}
 	return j
-}
-
-// WriteJSON writes runs as a JSON array.
-func WriteJSON(w io.Writer, runs []*model.Run) error {
-	out := make([]JSONRun, len(runs))
-	for i, r := range runs {
-		out[i] = ToJSONRun(r)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("report: encode json: %w", err)
-	}
-	return nil
 }

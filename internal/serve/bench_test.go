@@ -22,7 +22,7 @@ func BenchmarkEncodeAnalysis(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := encodeJSON(resp); err != nil {
+				if _, err := core.EncodeJSON(resp); err != nil {
 					b.Fatal(err)
 				}
 			}

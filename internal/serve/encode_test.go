@@ -7,11 +7,13 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/report"
 )
 
-// referenceEncodeJSON is encodeJSON as it was before the one-pass
+// referenceEncodeJSON is core.EncodeJSON as it was before the one-pass
 // indent: Encoder.SetIndent, whose second pass runs the JSON scanner
-// over every byte. The served bytes must stay equal to its output.
+// over every byte. Every indented byte the module writes must stay
+// equal to its output.
 func referenceEncodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -68,15 +70,17 @@ func encodeCases() map[string]any {
 	}
 }
 
-// TestEncodeJSONMatchesEncoder pins encodeJSON's bytes to Encoder's
-// SetIndent output: every registered analysis at default parameters,
-// the explore scope analyses under vendor and year filters, the
-// clustering family with explicit k and seed, and hand-written values
-// aimed at the indenter's string and escape handling.
+// TestEncodeJSONMatchesEncoder pins core.EncodeJSON's bytes to
+// Encoder's SetIndent output: every registered analysis at default
+// parameters, the explore scope analyses under vendor and year filters,
+// the clustering family with explicit k and seed, the result array
+// specanalyze -json writes, the run array specparse -format json
+// writes, and hand-written values aimed at the indenter's string and
+// escape handling.
 func TestEncodeJSONMatchesEncoder(t *testing.T) {
 	check := func(label string, v any) {
 		t.Helper()
-		got, err := encodeJSON(v)
+		got, err := core.EncodeJSON(v)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -85,15 +89,30 @@ func TestEncodeJSONMatchesEncoder(t *testing.T) {
 			t.Fatalf("%s: reference: %v", label, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: encodeJSON differs from SetIndent\ngot:\n%s\nwant:\n%s", label, got, want)
+			t.Fatalf("%s: core.EncodeJSON differs from SetIndent\ngot:\n%s\nwant:\n%s", label, got, want)
 		}
 	}
-	for label, v := range encodeCases() {
+	base := core.SliceSource(defaultRuns(t))
+	eng := core.New(core.WithSource(base))
+	results, err := eng.RunRequests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := eng.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]report.JSONRun, len(ds.Comparable))
+	for i, r := range ds.Comparable {
+		runs[i] = report.ToJSONRun(r)
+	}
+	cases := encodeCases()
+	cases["specanalyze -json"] = results
+	cases["specparse -format json"] = runs
+	for label, v := range cases {
 		check(label, v)
 	}
 
-	base := core.SliceSource(defaultRuns(t))
-	eng := core.New(core.WithSource(base))
 	for _, name := range analysis.SortedNames() {
 		reg, _ := analysis.Lookup(name)
 		v, err := eng.Analysis(name)
@@ -138,27 +157,4 @@ func TestEncodeJSONMatchesEncoder(t *testing.T) {
 		check(req.name+"?"+params.Canonical(), analysisResponse{Name: req.name, Description: reg.Description,
 			Params: params.Canonical(), Value: v})
 	}
-}
-
-// FuzzIndentJSON: for any valid JSON document, compacted and ended
-// with a newline as json.Encoder writes it, indentJSON's output equals
-// json.Indent's with the indent encodeJSON serves.
-func FuzzIndentJSON(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !json.Valid(data) {
-			return
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, data); err != nil {
-			t.Fatal(err)
-		}
-		compact.WriteByte('\n')
-		var want bytes.Buffer
-		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
-			t.Fatal(err)
-		}
-		if got := indentJSON(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("indentJSON(%q)\ngot:  %q\nwant: %q", compact.Bytes(), got, want.Bytes())
-		}
-	})
 }

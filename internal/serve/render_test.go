@@ -96,7 +96,7 @@ func TestAuditDigestOfStoredBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg, _ := analysis.Lookup("funnel")
-	fresh, err := encodeJSON(analysisResponse{Name: "funnel", Description: reg.Description, Value: v})
+	fresh, err := core.EncodeJSON(analysisResponse{Name: "funnel", Description: reg.Description, Value: v})
 	if err != nil {
 		t.Fatal(err)
 	}

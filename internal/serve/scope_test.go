@@ -71,7 +71,7 @@ func TestScopeViewsMatchFreshIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg, _ := analysis.Lookup(name)
-			want, err := encodeJSON(analysisResponse{Name: name, Description: reg.Description,
+			want, err := core.EncodeJSON(analysisResponse{Name: name, Description: reg.Description,
 				Filter: sc.expr, Value: v})
 			if err != nil {
 				t.Fatal(err)

@@ -50,9 +50,10 @@ func Pearson(xs, ys []float64) (float64, error) {
 }
 
 // CorrMatrix computes the pairwise Pearson correlation matrix of the
-// given named columns. Entries that cannot be computed (degenerate
-// columns) are NaN. The result is symmetric with a unit diagonal.
-func CorrMatrix(cols map[string][]float64, names []string) [][]float64 {
+// given named columns. The result is symmetric with a unit diagonal. A
+// pair that cannot be correlated (fewer than two finite pairs, or a
+// column without variance) is an error naming both columns.
+func CorrMatrix(cols map[string][]float64, names []string) ([][]float64, error) {
 	n := len(names)
 	m := make([][]float64, n)
 	for i := range m {
@@ -63,13 +64,13 @@ func CorrMatrix(cols map[string][]float64, names []string) [][]float64 {
 		for j := i + 1; j < n; j++ {
 			r, err := Pearson(cols[names[i]], cols[names[j]])
 			if err != nil {
-				r = math.NaN()
+				return nil, fmt.Errorf("stats: correlation of %s and %s: %w", names[i], names[j], err)
 			}
 			m[i][j] = r
 			m[j][i] = r
 		}
 	}
-	return m
+	return m, nil
 }
 
 func finite(x float64) bool {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,8 +84,11 @@ func TestCorrMatrix(t *testing.T) {
 		b[i] = 2*a[i] + 0.01*rng.NormFloat64()
 		c[i] = rng.NormFloat64()
 	}
-	m := CorrMatrix(map[string][]float64{"a": a, "b": b, "c": c},
+	m, err := CorrMatrix(map[string][]float64{"a": a, "b": b, "c": c},
 		[]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m[0][0] != 1 || m[1][1] != 1 {
 		t.Error("diagonal must be 1")
 	}
@@ -96,5 +100,10 @@ func TestCorrMatrix(t *testing.T) {
 	}
 	if m[0][1] != m[1][0] {
 		t.Error("matrix must be symmetric")
+	}
+	flat := make([]float64, n)
+	_, err = CorrMatrix(map[string][]float64{"a": a, "flat": flat}, []string{"a", "flat"})
+	if err == nil || !strings.Contains(err.Error(), "a and flat") {
+		t.Errorf("a column without variance: err = %v, want one naming a and flat", err)
 	}
 }
