@@ -138,7 +138,10 @@ func TestTopEfficientS4(t *testing.T) {
 
 func TestIdleFractionHistoryS5(t *testing.T) {
 	ds := dataset(t)
-	s := IdleFractionHistory(ds.Comparable, 5)
+	s, err := IdleFractionHistory(ds.Comparable, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.FirstYear > 2007 {
 		t.Errorf("first populated year = %d", s.FirstYear)
 	}

@@ -121,14 +121,16 @@ type derivedEntry struct {
 }
 
 // Derive computes (or recalls) state derived from ds under key — a
-// feature matrix, a clustering partition, a k sweep — so analyses that
-// need the same intermediate share one computation per dataset. Each
-// key computes once; concurrent callers of one key wait for that
+// feature matrix, a clustering partition, the k-means fits of one seed
+// — so analyses that need the same intermediate share one computation
+// per dataset. Each key computes once; concurrent callers of one key wait for that
 // computation, and an error is remembered like a value. Every call
 // marks its key most recently used, and a full memo evicts the least
 // recently used key, so state that every request reuses (the feature
-// matrix) outlives a stream of one-off keys. f must be a pure function
-// of (ds, key): the memo lives and dies with the dataset, so a later
+// matrix) outlives a stream of one-off keys. The value may itself be a
+// memo that fills as callers ask (the fits of a seed gain one k at a
+// time), as long as what it hands out is a function of (ds, key). f
+// must be a pure function of (ds, key): the memo lives and dies with the dataset, so a later
 // corpus generation starts empty. A literally constructed dataset (no
 // builder identity) has no memo and just calls f.
 func Derive[T any](ds *Dataset, key string, f func() (T, error)) (T, error) {

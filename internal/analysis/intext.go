@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/stats"
@@ -145,16 +145,30 @@ type TopEfficiency struct {
 // TopEfficient ranks the comparable runs by overall ssj_ops/W (paper:
 // 98 of the top 100 use AMD).
 func TopEfficient(comparable []*model.Run, n int) TopEfficiency {
-	ranked := append([]*model.Run(nil), comparable...)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		return ranked[i].OverallOpsPerWatt() > ranked[j].OverallOpsPerWatt()
-	})
-	if n > len(ranked) {
-		n = len(ranked)
+	// Rank (key, index) pairs, each key computed once. A stable sort
+	// whose less is exactly a.key > b.key makes the moves a stable sort
+	// of the runs by that comparison makes, NaN keys included.
+	type ranked struct {
+		key float64
+		i   int
 	}
+	order := make([]ranked, len(comparable))
+	for i, r := range comparable {
+		order[i] = ranked{r.OverallOpsPerWatt(), i}
+	}
+	slices.SortStableFunc(order, func(a, b ranked) int {
+		if a.key > b.key {
+			return -1
+		}
+		if b.key > a.key {
+			return 1
+		}
+		return 0
+	})
+	n = min(n, len(order))
 	out := TopEfficiency{N: n, ByVendor: map[string]int{}}
-	for _, r := range ranked[:n] {
-		out.ByVendor[r.CPUVendor.String()]++
+	for _, r := range order[:n] {
+		out.ByVendor[comparable[r.i].CPUVendor.String()]++
 	}
 	return out
 }
@@ -174,8 +188,8 @@ type IdleFractionStats struct {
 
 // IdleFractionHistory extracts S5 from the Figure 5 yearly means,
 // considering only years with at least minRuns runs (tiny early bins are
-// noise).
-func IdleFractionHistory(comparable []*model.Run, minRuns int) IdleFractionStats {
+// noise). It errors on a slice with no such year.
+func IdleFractionHistory(comparable []*model.Run, minRuns int) (IdleFractionStats, error) {
 	yearly := YearlyMeans(comparable, (*model.Run).IdleFraction)
 	var kept []YearlyStat
 	for _, ys := range yearly {
@@ -185,7 +199,7 @@ func IdleFractionHistory(comparable []*model.Run, minRuns int) IdleFractionStats
 	}
 	var s IdleFractionStats
 	if len(kept) == 0 {
-		return s
+		return s, fmt.Errorf("analysis: idlehistory has no year with at least %d runs among %d runs", minRuns, len(comparable))
 	}
 	s.FirstYear, s.FirstYearMean = kept[0].Year, kept[0].Mean
 	s.LastYear, s.LastYearMean = kept[len(kept)-1].Year, kept[len(kept)-1].Mean
@@ -195,7 +209,7 @@ func IdleFractionHistory(comparable []*model.Run, minRuns int) IdleFractionStats
 			s.MinYear, s.MinYearMean = ys.Year, ys.Mean
 		}
 	}
-	return s
+	return s, nil
 }
 
 // VendorFeature is one side of the S6 comparison.

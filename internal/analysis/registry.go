@@ -240,7 +240,7 @@ func init() {
 		func(ds *Dataset) (any, error) { return TopEfficient(ds.Comparable, 100), nil },
 		Reads(InputComparable), Text(top100Text))
 	Register("idlehistory", "S5: idle-fraction history (first / minimum / last year)",
-		func(ds *Dataset) (any, error) { return IdleFractionHistory(ds.Comparable, 5), nil },
+		func(ds *Dataset) (any, error) { return IdleFractionHistory(ds.Comparable, 5) },
 		Reads(InputComparable), Text(idleHistoryText))
 	Register("features", "S6: per-vendor feature comparison since 2021",
 		func(ds *Dataset) (any, error) { return RecentFeatures(ds.Comparable, 2021) },

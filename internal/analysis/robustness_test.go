@@ -32,7 +32,10 @@ func TestStatisticsRobustAcrossSeeds(t *testing.T) {
 			t.Errorf("seed %d: top-100 AMD = %d", seed, top.ByVendor["AMD"])
 		}
 		// Idle fraction: high start, minimum mid-2010s, regression after.
-		s5 := IdleFractionHistory(ds.Comparable, 5)
+		s5, err := IdleFractionHistory(ds.Comparable, 5)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		if s5.FirstYearMean < 0.55 || s5.FirstYearMean > 0.85 {
 			t.Errorf("seed %d: first-year idle %.3f", seed, s5.FirstYearMean)
 		}

@@ -26,7 +26,7 @@ type TrendAssessment struct {
 // AssessTrend runs the trend tests for a metric over runs whose
 // hardware availability falls in [fromYear, toYear] (0 = unbounded).
 func AssessTrend(runs []*model.Run, name string, metric Metric, fromYear, toYear int, alpha float64) (TrendAssessment, error) {
-	var sub []*model.Run
+	sub := make([]*model.Run, 0, len(runs))
 	for _, r := range runs {
 		y := r.HWAvail.Year
 		if (fromYear != 0 && y < fromYear) || (toYear != 0 && y > toYear) {
@@ -46,11 +46,10 @@ func AssessTrend(runs []*model.Run, name string, metric Metric, fromYear, toYear
 	if err != nil {
 		return TrendAssessment{}, fmt.Errorf("analysis: trend %q: %w", name, err)
 	}
-	var xs, ys []float64
-	for _, r := range sub {
-		v := metric(r)
-		xs = append(xs, r.HWAvail.Frac())
-		ys = append(ys, v)
+	xs := make([]float64, len(sub))
+	ys := make([]float64, len(sub))
+	for i, r := range sub {
+		xs[i], ys[i] = r.HWAvail.Frac(), metric(r)
 	}
 	slope, err := stats.SenSlope(xs, ys)
 	if err != nil {

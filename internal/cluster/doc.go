@@ -13,15 +13,19 @@
 // each distance where it is needed, with identical results. Silhouette
 // sums four rows of the table side by side. KMeans keeps Hamerly bounds
 // per row and rescans only the rows they cannot prove stay put; its
-// result is exactly that of a full scan every round. SweepK draws one
-// k-means++ seeding, at its largest k (the seeding for any smaller k is
-// a prefix of it), and runs each k as its own task on the worker pool,
-// largest first: a Lloyd fit from a copy of that prefix, then its
-// silhouette. Every point equals a separate KMeans and Silhouette at
-// that k.
+// result is exactly that of a full scan every round. The registered
+// analyses keep one memo of k-means fits per dataset, feature set and
+// seed, and fit each k once: a k sweep fits only the k values it lacks,
+// drawing one k-means++ seeding at the largest of them (the seeding for
+// any smaller k is a prefix of it) and running each k as its own task
+// on the worker pool, largest first: a Lloyd fit from a copy of that
+// prefix, then its silhouette. A k-means partition, auto-k or explicit,
+// adopts the fit at its k and reports that fit's Lloyd rounds as kernel
+// events, so an auto-k partition does not refit the k its sweep chose.
+// Every fit equals a separate KMeans and Silhouette at that k.
 //
 // Quality is judged by within-cluster SSE and the silhouette score
-// (Silhouette, SweepK, AutoK), and clusters are summarized into
+// (Silhouette, AutoK), and clusters are summarized into
 // human-readable phenotypes (Profiles): dominant vendor, median
 // cores/score, year range. The pinned corpus analyses — "clusters",
 // "cluster-profiles", "cluster-sweep" — are registered with the

@@ -120,8 +120,10 @@ func (m *Matrix) distances(workers int) []float64 {
 
 // pairwise computes the full symmetric distance matrix of rows, flat
 // and row-major. The lower triangle fills on the worker pool (disjoint
-// writes); the mirror pass is serial. stats.EuclideanDist is
-// bit-symmetric, so the mirror is exact.
+// writes); then the upper triangle copies it in mirrorTile × mirrorTile
+// tiles, one band of rows per pool task, so each tile's reads and
+// writes stay in cache. stats.EuclideanDist is bit-symmetric, so the
+// mirror is exact.
 func pairwise(rows [][]float64, workers int) []float64 {
 	n := len(rows)
 	d := make([]float64, n*n)
@@ -132,13 +134,24 @@ func pairwise(rows [][]float64, workers int) []float64 {
 		}
 		return nil
 	})
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d[i*n+j] = d[j*n+i]
+	_ = par.ForEach((n+mirrorTile-1)/mirrorTile, workers, func(band int) error {
+		ilo := band * mirrorTile
+		ihi := min(ilo+mirrorTile, n)
+		for jlo := ilo; jlo < n; jlo += mirrorTile {
+			jhi := min(jlo+mirrorTile, n)
+			for i := ilo; i < ihi; i++ {
+				for j := max(jlo, i+1); j < jhi; j++ {
+					d[i*n+j] = d[j*n+i]
+				}
+			}
 		}
-	}
+		return nil
+	})
 	return d
 }
+
+// mirrorTile is the side of the tiles pairwise's mirror copies.
+const mirrorTile = 32
 
 // Extract builds the standardized feature matrix of runs. Unknown or
 // repeated feature names error, listing what is available.

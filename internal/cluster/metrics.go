@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/stats"
@@ -192,49 +194,129 @@ type SweepPoint struct {
 	Silhouette float64
 }
 
-// SweepK runs seeded k-means for every k in [kmin, kmax] and reports
-// SSE and silhouette per k — the elbow/auto-k sweep. Each point equals,
-// to the bit, a KMeans with the same seed at that k plus its
-// Silhouette. The sweep draws one k-means++ seeding, at kmax: k-means++
-// takes the same random draws for its first k centroids whatever its
-// target, so the seeding for k is the first k of those centroids. Each
-// k is then one task on the worker pool, largest k first so the
-// longest fits start early: the task runs Lloyd from its own copy of
-// the first k centroids (Lloyd moves them) and scores its own
-// silhouette. When there are fewer k values than workers, each task's
-// silhouette gets the spare workers. Every task writes only its own
-// point, so the sweep is as deterministic as its parts.
-func SweepK(m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
-	if kmin < 1 || kmin > kmax || kmax > len(m.Rows) {
-		return nil, fmt.Errorf("cluster: sweep range [%d, %d] outside [1, %d rows]",
-			kmin, kmax, len(m.Rows))
+// fits holds the seeded k-means fits of one matrix under one seed,
+// each k computed once, whoever asks first: a sweep, or a partition at
+// a single k. A fit is a function of (matrix, seed, k), so every caller
+// reads the same labels, SSE, silhouette and Lloyd trace.
+type fits struct {
+	m    *Matrix
+	seed int64
+
+	mu  sync.Mutex
+	byK map[int]*kfit
+}
+
+// kfit is one k's fit: a KMeans at the fits' seed, its Silhouette, and
+// the (moved, converged) pair each Lloyd round reported, in order.
+type kfit struct {
+	once   sync.Once
+	done   atomic.Bool
+	labels []int
+	sse    float64
+	sil    float64
+	trace  []lloydRound
+}
+
+// lloydRound is what one Lloyd round reports to OnIteration.
+type lloydRound struct {
+	moved     int
+	converged bool
+}
+
+func newFits(m *Matrix, seed int64) *fits {
+	return &fits{m: m, seed: seed, byK: map[int]*kfit{}}
+}
+
+func (f *fits) entry(k int) *kfit {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	e := f.byK[k]
+	if e == nil {
+		e = &kfit{}
+		f.byK[k] = e
 	}
+	return e
+}
+
+// fit returns the fit at k (1 ≤ k ≤ rows), computing it if no caller
+// has. seeds, when it holds at least k centroids, is the k-means++
+// seeding of the fits' seed at some k' ≥ k, whose first k centroids are
+// the seeding for k (seedPlusPlus's prefix property); otherwise fit
+// seeds k itself. silWorkers bounds the silhouette's pool.
+func (f *fits) fit(k int, seeds [][]float64, silWorkers int) *kfit {
+	e := f.entry(k)
+	e.once.Do(func() {
+		opt := KMeansOptions{K: k, Seed: f.seed, OnIteration: func(_, moved int, converged bool) {
+			e.trace = append(e.trace, lloydRound{moved, converged})
+		}}
+		var res *KMeansResult
+		if len(seeds) >= k {
+			cents := make([][]float64, k)
+			for c := range cents {
+				cents[c] = cloneRow(seeds[c])
+			}
+			res = lloyd(f.m.Rows, cents, opt)
+		} else {
+			res, _ = KMeans(f.m, opt) // 1 ≤ k ≤ rows
+		}
+		e.labels, e.sse = res.Labels, res.SSE
+		e.sil = Silhouette(f.m, res.Labels, k, silWorkers)
+		e.done.Store(true)
+	})
+	return e
+}
+
+// replay reports the fit's Lloyd rounds to on, as the KMeans that
+// computed it would have; a nil on is a no-op.
+func (e *kfit) replay(on func(iter, moved int, converged bool)) {
+	if on == nil {
+		return
+	}
+	for i, r := range e.trace {
+		on(i+1, r.moved, r.converged)
+	}
+}
+
+// sweep returns the point of every k in [kmin, kmax] (1 ≤ kmin ≤ kmax ≤
+// rows), fitting only the k values no caller has yet. It draws one
+// k-means++ seeding, at the largest missing k: k-means++ takes the same
+// random draws for its first k centroids whatever its target, so the
+// seeding for each smaller k is a prefix of it. Each missing k is then
+// one task on the worker pool, largest k first so the longest fits
+// start early: the task runs Lloyd from its own copy of the prefix and
+// scores its own silhouette. When there are fewer missing k values than
+// workers, each task's silhouette gets the spare workers. Every task
+// writes only its own fit, so the sweep is as deterministic as its
+// parts.
+func (f *fits) sweep(kmin, kmax, workers int) []SweepPoint {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	seeds := seedPlusPlus(m.Rows, kmax, rand.New(rand.NewSource(seed)))
-	if kmax >= 2 {
-		// Build the shared distance table on the whole pool before
-		// the tasks split it.
-		m.distances(workers)
+	var missing []int // descending
+	for k := kmax; k >= kmin; k-- {
+		if !f.entry(k).done.Load() {
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		seeds := seedPlusPlus(f.m.Rows, missing[0], rand.New(rand.NewSource(f.seed)))
+		if missing[0] >= 2 {
+			// Build the shared distance table on the whole pool before
+			// the tasks split it.
+			f.m.distances(workers)
+		}
+		silWorkers := max(1, workers/len(missing))
+		_ = par.ForEach(len(missing), workers, func(t int) error {
+			f.fit(missing[t], seeds, silWorkers)
+			return nil
+		})
 	}
 	points := make([]SweepPoint, kmax-kmin+1)
-	silWorkers := max(1, workers/len(points))
-	_ = par.ForEach(len(points), workers, func(t int) error {
-		k := kmax - t
-		cents := make([][]float64, k)
-		for c := range cents {
-			cents[c] = cloneRow(seeds[c])
-		}
-		res := lloyd(m.Rows, cents, KMeansOptions{})
-		points[k-kmin] = SweepPoint{
-			K:          k,
-			SSE:        res.SSE,
-			Silhouette: Silhouette(m, res.Labels, k, silWorkers),
-		}
-		return nil
-	})
-	return points, nil
+	for k := kmin; k <= kmax; k++ {
+		e := f.fit(k, nil, workers) // done: this only waits for it
+		points[k-kmin] = SweepPoint{K: k, SSE: e.sse, Silhouette: e.sil}
+	}
+	return points
 }
 
 // SweepTable renders a sweep as the text table the cluster-sweep

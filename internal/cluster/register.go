@@ -199,17 +199,20 @@ func matrixFor(ds *analysis.Dataset, features []string) (*Matrix, error) {
 	})
 }
 
-// sweepFor computes (or recalls) the k sweep of m over [kmin, kmax]
-// under seed. Equal feature selections over one dataset produce equal
-// matrices (extraction is deterministic), so the memo keys by the
-// sweep-relevant inputs alone: the auto-k branch of the partition and
-// the "cluster-sweep" analysis share one sweep — the dominant cost of a
-// default clustering — across their different schemas.
-func sweepFor(ds *analysis.Dataset, m *Matrix, kmin, kmax int, seed int64, workers int) ([]SweepPoint, error) {
-	key := fmt.Sprintf("sweep|%s|%d|%d|%d", strings.Join(m.Features, ","), kmin, kmax, seed)
-	return analysis.Derive(ds, key, func() ([]SweepPoint, error) {
-		return SweepK(m, kmin, kmax, seed, workers)
+// fitsFor recalls (or starts) the k-means fits of m under seed. Equal
+// feature selections over one dataset produce equal matrices
+// (extraction is deterministic), so one memo entry per (feature set,
+// seed) holds every k fitted so far: the auto-k sweep of a partition,
+// an explicit-k partition and the "cluster-sweep" analysis share each
+// fit across their different schemas, and each k is fitted once. There
+// is no entry per k: the memo is small, and the matrix entry, with its
+// distance table, must stay resident.
+func fitsFor(ds *analysis.Dataset, m *Matrix, seed int64) *fits {
+	key := fmt.Sprintf("fits|%s|%d", strings.Join(m.Features, ","), seed)
+	fs, _ := analysis.Derive(ds, key, func() (*fits, error) {
+		return newFits(m, seed), nil
 	})
+	return fs
 }
 
 const (
@@ -283,7 +286,7 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 	workers := ds.Workers
 	switch algo {
 	case "kmeans":
-		seed := p.Int64("seed")
+		fs := fitsFor(ds, m, p.Int64("seed"))
 		if k == 0 {
 			kmin, kmax, err := sweepRange(p, n)
 			if err != nil {
@@ -292,33 +295,13 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 			if kmax < kmin {
 				return part, nil // corpus smaller than the sweep floor
 			}
-			sweep, err := sweepFor(ds, m, kmin, kmax, seed, workers)
-			if err != nil {
-				return nil, err
-			}
-			k = AutoK(sweep)
-			res, err := KMeans(m, KMeansOptions{K: k, Seed: seed,
-				OnIteration: kmeansObserver(ds)})
-			if err != nil {
-				return nil, err
-			}
-			part.k, part.labels = res.K, res.Labels
-			// The sweep already scored this k; the same seed reproduces
-			// the same labels, so the silhouette carries over exactly.
-			for _, pt := range sweep {
-				if pt.K == k {
-					part.sil = pt.Silhouette
-				}
-			}
-			return part, nil
+			k = AutoK(fs.sweep(kmin, kmax, workers))
 		}
-		res, err := KMeans(m, KMeansOptions{K: k, Seed: seed,
-			OnIteration: kmeansObserver(ds)})
-		if err != nil {
-			return nil, err
-		}
-		part.k, part.labels = res.K, res.Labels
-		part.sil = Silhouette(m, res.Labels, res.K, workers)
+		// The partition adopts the fit, which the sweep may have made,
+		// and reports its Lloyd rounds as the KMeans run it stands for.
+		f := fs.fit(k, nil, workers)
+		f.replay(kmeansObserver(ds))
+		part.k, part.labels, part.sil = k, f.labels, f.sil
 		return part, nil
 	case "hac":
 		cut := p.Float("cut")
@@ -347,11 +330,7 @@ func computePartition(ds *analysis.Dataset, p analysis.Params) (*partition, erro
 			if kmax < kmin {
 				return part, nil // corpus smaller than the sweep floor
 			}
-			sweep, err := sweepFor(ds, m, kmin, kmax, seed, workers)
-			if err != nil {
-				return nil, err
-			}
-			k = AutoK(sweep)
+			k = AutoK(fitsFor(ds, m, seed).sweep(kmin, kmax, workers))
 		}
 		res, err := MiniBatch(m, MiniBatchOptions{K: k, Seed: seed, BatchSize: p.Int("batch"),
 			Workers: workers, OnIteration: minibatchObserver(ds)})
@@ -425,7 +404,7 @@ func init() {
 			if kmax < kmin {
 				return []SweepPoint{}, nil
 			}
-			return sweepFor(ds, m, kmin, kmax, p.Int64("seed"), ds.Workers)
+			return fitsFor(ds, m, p.Int64("seed")).sweep(kmin, kmax, ds.Workers), nil
 		}, analysis.Reads(analysis.InputComparable),
 		analysis.Text(func(w io.Writer, pts []SweepPoint) { fmt.Fprint(w, SweepTable(pts)) }))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -345,6 +346,151 @@ func TestPartitionSharedAcrossFanOut(t *testing.T) {
 		if got != want {
 			t.Fatalf("rep %d: %d kmeans iteration events across both requests, want %d (one run)",
 				rep, got, want)
+		}
+	}
+}
+
+// TestSweepAfterPartitionSameBytes: a "cluster-sweep" that finds every
+// fit of its seed already made by a default "clusters" (auto-k over
+// 2…8) and fits only k = 9, 10 itself encodes to the bytes a fresh
+// engine's sweep does, and so does the partition after it.
+func TestSweepAfterPartitionSameBytes(t *testing.T) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(eng *core.Engine, name string) []byte {
+		t.Helper()
+		v, err := eng.Analysis(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		b, err := core.EncodeJSON(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	warm := core.New(core.WithSource(core.SliceSource(runs)))
+	clusters := body(warm, "clusters")
+	sweep := body(warm, "cluster-sweep")
+	if want := body(core.New(core.WithSource(core.SliceSource(runs))), "cluster-sweep"); !bytes.Equal(sweep, want) {
+		t.Errorf("cluster-sweep after clusters differs from a fresh engine's:\n%s\nwant:\n%s", sweep, want)
+	}
+	if want := body(core.New(core.WithSource(core.SliceSource(runs))), "clusters"); !bytes.Equal(clusters, want) {
+		t.Error("clusters differs from a fresh engine's")
+	}
+}
+
+// TestExplicitKEventsMatchKMeans: a clusters?k=4 request whose fit the
+// default auto-k sweep already made still reports, in order, exactly
+// the kmeans iteration events a fresh KMeans at k = 4 does, and no
+// other kernel events; the sweep before it reports none.
+func TestExplicitKEventsMatchKMeans(t *testing.T) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cluster.Extract(analysis.BuildDataset(runs).Comparable, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type iteration struct {
+		index, moved int
+		converged    bool
+	}
+	var want []iteration
+	if _, err := cluster.KMeans(m, cluster.KMeansOptions{K: 4, Seed: cluster.DefaultSeed,
+		OnIteration: func(i, moved int, converged bool) { want = append(want, iteration{i, moved, converged}) }}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	got := map[any][]iteration{}
+	eng := core.New(core.WithSource(core.SliceSource(runs)), core.WithHook(func(ev core.Event) {
+		if ev.Kind != core.EventKernel {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Kernel.Kernel != "kmeans" {
+			t.Errorf("%v: unexpected %s kernel event", ev.Owner, ev.Kernel.Kernel)
+		}
+		got[ev.Owner] = append(got[ev.Owner], iteration{ev.Kernel.Index, ev.Kernel.Moved, ev.Kernel.Converged})
+	}))
+	k4 := lookup(t, "clusters")
+	params, err := k4.Params.Resolve(map[string]string{"k": "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []core.Request{
+		{Name: "cluster-sweep", Owner: "sweep"},
+		{Name: "clusters", Owner: "auto"},
+		{Name: "clusters", Params: params, Owner: "k4"},
+	} {
+		if _, err := eng.AnalysisRequest(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got["sweep"]) != 0 {
+		t.Errorf("cluster-sweep reported %d kmeans events, want none", len(got["sweep"]))
+	}
+	if len(got["auto"]) == 0 {
+		t.Error("the auto-k partition reported no kmeans events")
+	}
+	if !slices.Equal(got["k4"], want) {
+		t.Errorf("clusters?k=4 events = %v, a fresh KMeans reports %v", got["k4"], want)
+	}
+}
+
+// TestFitsSharedConcurrently: requests that need overlapping fits of
+// one seed — the auto-k partition, its profiles, an explicit k = 4 and
+// the k = 2…10 sweep — fanned out together onto a cold engine encode
+// to the bytes each gives alone on a fresh engine.
+func TestFitsSharedConcurrently(t *testing.T) {
+	opt := synth.DefaultOptions()
+	opt.Plan = []synth.YearPlan{
+		{Year: 2019, Parsed: 60, AMDShare: 0.4, LinuxShare: 0.3, TwoSocketShare: 0.7},
+		{Year: 2021, Parsed: 60, AMDShare: 0.6, LinuxShare: 0.5, TwoSocketShare: 0.6},
+	}
+	runs, err := synth.Generate(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k4, err := lookup(t, "clusters").Params.Resolve(map[string]string{"k": "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []core.Request{
+		{Name: "clusters"}, {Name: "cluster-profiles"},
+		{Name: "clusters", Params: k4}, {Name: "cluster-sweep"},
+	}
+	encode := func(res []core.Result) []byte {
+		b, err := core.EncodeJSON(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var want []byte
+	for _, req := range reqs {
+		res, err := core.New(core.WithSource(core.SliceSource(runs))).RunRequests(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, encode(res)...)
+	}
+	for rep := 0; rep < 3; rep++ {
+		eng := core.New(core.WithSource(core.SliceSource(runs)), core.WithWorkers(4))
+		res, err := eng.RunRequests(reqs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		for _, r := range res {
+			got = append(got, encode([]core.Result{r})...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("rep %d: concurrent requests differ from each one alone on a fresh engine", rep)
 		}
 	}
 }

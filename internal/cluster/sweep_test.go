@@ -102,3 +102,19 @@ func TestSweepKExact(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPairwise: one build of the full pairwise distance table of
+// the synth corpus's feature matrix (676 rows).
+func BenchmarkPairwise(b *testing.B) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := Extract(analysis.BuildDataset(runs).Comparable, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		_ = pairwise(m.Rows, 0)
+	}
+}

@@ -91,16 +91,33 @@ func (s CachedSource) Each(workers int, yield func(*model.Run) error) error {
 		return err
 	}
 	old := loadParseCache(s.cachePath())
+	if runs, ok := allCached(s.Dir, paths, old); ok {
+		// Every file is a current hit: stream the cached runs in path
+		// order on this goroutine, with no parse pool to feed.
+		for _, r := range runs {
+			parseCacheHits.Add(1)
+			if err := yield(r); err != nil {
+				return err
+			}
+		}
+		if len(old) != len(paths) {
+			// Stale keys of deleted files: prune them, as below.
+			fresh := make(map[string]cacheEntry, len(paths))
+			for _, p := range paths {
+				rel := cacheKey(s.Dir, p)
+				fresh[rel] = old[rel]
+			}
+			s.save(old, fresh)
+		}
+		return nil
+	}
 	var (
 		mu    sync.Mutex
 		fresh = make(map[string]cacheEntry, len(paths))
 		dirty bool
 	)
 	load := func(path string) (*model.Run, error) {
-		rel, err := filepath.Rel(s.Dir, path)
-		if err != nil {
-			rel = path
-		}
+		rel := cacheKey(s.Dir, path)
 		info, err := os.Stat(path)
 		if err != nil {
 			return nil, fmt.Errorf("core: stat %s: %w", path, err)
@@ -135,14 +152,51 @@ func (s CachedSource) Each(workers int, yield func(*model.Run) error) error {
 	// corpus mount must not fail an ingestion that already succeeded —
 	// the next run just parses cold again.
 	if dirty || len(fresh) != len(old) {
-		for rel := range old {
-			if _, ok := fresh[rel]; !ok {
-				parseCachePrunes.Add(1)
-			}
-		}
-		_ = saveParseCache(s.cachePath(), fresh)
+		s.save(old, fresh)
 	}
 	return nil
+}
+
+// save rewrites the cache file as fresh, counting each key of old it
+// drops as a prune.
+func (s CachedSource) save(old, fresh map[string]cacheEntry) {
+	for rel := range old {
+		if _, ok := fresh[rel]; !ok {
+			parseCachePrunes.Add(1)
+		}
+	}
+	_ = saveParseCache(s.cachePath(), fresh)
+}
+
+// cacheKey is a file's parse-cache key: its path relative to dir.
+func cacheKey(dir, path string) string {
+	rel, err := filepath.Rel(dir, path)
+	if err != nil {
+		return path
+	}
+	return rel
+}
+
+// allCached returns the cached run of every path, in order, when the
+// cache holds a size- and mtime-current entry for each; ok is false at
+// the first file that is missing from it, stale, or fails to stat.
+func allCached(dir string, paths []string, cache map[string]cacheEntry) (runs []*model.Run, ok bool) {
+	if len(cache) < len(paths) {
+		return nil, false
+	}
+	runs = make([]*model.Run, len(paths))
+	for i, path := range paths {
+		ent, hit := cache[cacheKey(dir, path)]
+		if !hit {
+			return nil, false
+		}
+		info, err := os.Stat(path)
+		if err != nil || ent.Size != info.Size() || ent.ModTime != info.ModTime().UnixNano() {
+			return nil, false
+		}
+		runs[i] = ent.Run
+	}
+	return runs, true
 }
 
 // loadParseCache reads a cache file; any failure (missing, corrupt,

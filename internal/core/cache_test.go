@@ -272,3 +272,40 @@ func TestParseCacheCounters(t *testing.T) {
 		t.Errorf("deletion delta = %+v, want %d hits + 1 prune", pruned, n-1)
 	}
 }
+
+// TestCachedSourceAllHitStream: when every file hits, the stream yields
+// the cached runs in path order, the same runs a parsing stream yields;
+// a deleted file's key is pruned once, and the rewrite keeps the next
+// stream all hits.
+func TestCachedSourceAllHitStream(t *testing.T) {
+	runs, err := synth.Generate(smallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteCorpus(dir, runs, 0); err != nil {
+		t.Fatal(err)
+	}
+	src := CachedSource{Dir: dir}
+	cold := cachedIDs(t, src, 4)
+	if warm := cachedIDs(t, src, 4); strings.Join(warm, ",") != strings.Join(cold, ",") {
+		t.Fatalf("all-hit stream order differs from the parsing stream")
+	}
+	if err := os.Remove(filepath.Join(dir, runs[0].ID+".txt")); err != nil {
+		t.Fatal(err)
+	}
+	before := ParseCacheCounters()
+	_ = cachedIDs(t, src, 4)
+	mid := ParseCacheCounters()
+	_ = cachedIDs(t, src, 4)
+	after := ParseCacheCounters()
+	if got := mid.Prunes - before.Prunes; got != 1 {
+		t.Errorf("first stream after the deletion pruned %d keys, want 1", got)
+	}
+	if got := after.Prunes - mid.Prunes; got != 0 {
+		t.Errorf("second stream pruned %d keys, want 0: the rewrite did not drop the key", got)
+	}
+	if got, want := after.Hits-mid.Hits, int64(len(runs)-1); got != want {
+		t.Errorf("second stream hit %d files, want %d", got, want)
+	}
+}

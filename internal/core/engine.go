@@ -705,11 +705,13 @@ var reportSections = []struct {
 }
 
 // reportBestEffort names the report analyses whose error drops their
-// text instead of failing the report: the changepoint needs enough
-// yearly bins, growth both eras, and features and confound both
-// vendors since 2021, which a small corpus slice may not have.
+// text instead of failing the report: the changepoint and each trend
+// test need enough yearly bins, idlehistory a year of at least five
+// runs, growth both eras, and features and confound both vendors since
+// 2021, which a small corpus slice may not have.
 var reportBestEffort = map[string]bool{
-	"changepoint": true, "growth": true, "features": true, "confound": true,
+	"changepoint": true, "trends": true, "idlehistory": true,
+	"growth": true, "features": true, "confound": true,
 }
 
 // WriteReport prints the full study — funnel, all six figures, Table I

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -58,6 +59,49 @@ func TestSmallSlicesEncode(t *testing.T) {
 			}
 			if _, err := EncodeJSON(v); err != nil {
 				t.Errorf("%s %s: no error, but the value does not encode: %v", expr, name, err)
+			}
+		}
+	}
+	// A slice without a year of five runs has no idle-fraction history
+	// to report: an error that says so, not zeros that read as measured.
+	keep, err := ParseFilter("vendor=other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(WithSource(FilterSource{Inner: SliceSource(runs), Keep: keep, Desc: "vendor=other"}))
+	if v, err := eng.Analysis("idlehistory"); err == nil || !strings.Contains(err.Error(), "idlehistory") {
+		t.Errorf("vendor=other idlehistory = %+v, %v; want an error naming idlehistory", v, err)
+	}
+}
+
+// TestFilteredReportBestEffort: a slice on which the trend tests, the
+// idle-fraction history or the era comparisons fail still renders a
+// report with every other section.
+func TestFilteredReportBestEffort(t *testing.T) {
+	runs, err := synth.Generate(synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ expr, failing string }{
+		{"since=2021", "trends"},
+		{"vendor=other", "idlehistory"},
+	} {
+		keep, err := ParseFilter(c.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(WithSource(FilterSource{Inner: SliceSource(runs), Keep: keep, Desc: c.expr}))
+		if _, err := eng.Analysis(c.failing); err == nil {
+			t.Fatalf("%s: %s succeeded; the test needs a slice it fails on", c.expr, c.failing)
+		}
+		var buf bytes.Buffer
+		if err := eng.WriteReport(&buf); err != nil {
+			t.Fatalf("%s: report failed: %v", c.expr, err)
+		}
+		for _, title := range []string{"Filter funnel", "Figure 3: overall efficiency",
+			"Trend tests", "Table I"} {
+			if !strings.Contains(buf.String(), title) {
+				t.Errorf("%s: report lacks the %q section", c.expr, title)
 			}
 		}
 	}

@@ -457,6 +457,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sb.body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sb.body)
 }
@@ -540,6 +541,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	ent.live.RUnlock()
 	writeValidator(w, etag)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(sb.body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sb.body)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -480,6 +481,40 @@ func TestETagRoundTrip(t *testing.T) {
 	// A stale validator still gets a fresh 200.
 	if rec := get(t, s, "/v1/analyses/funnel", "If-None-Match", `"deadbeef"`); rec.Code != http.StatusOK {
 		t.Errorf("stale ETag: status = %d, want 200", rec.Code)
+	}
+}
+
+// TestStoredBodyContentLength: a stored body, analysis or report, goes
+// out with its length, so a large one is not chunked; a 304 still
+// carries no body and no length.
+func TestStoredBodyContentLength(t *testing.T) {
+	s, _ := testServer(t, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, path := range []string{"/v1/analyses/fig3", "/v1/report"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", path, resp.StatusCode)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, transfer encoding %v for a %d-byte body",
+				path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		again := get(t, s, path, "If-None-Match", resp.Header.Get("ETag"))
+		if again.Code != http.StatusNotModified || again.Body.Len() != 0 {
+			t.Fatalf("%s: revalidation = %d with %d bytes, want an empty 304", path, again.Code, again.Body.Len())
+		}
+		if cl := again.Header().Get("Content-Length"); cl != "" {
+			t.Errorf("%s: 304 carries Content-Length %q", path, cl)
+		}
 	}
 }
 

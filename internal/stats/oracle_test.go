@@ -347,3 +347,155 @@ func FuzzQuantile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSenSlope holds SenSlope to sortSenSlope, and the bracketed
+// selection to it under any bracket: one drawn from the input's own
+// slopes must give the same bits or report a miss, never a wrong value.
+func FuzzSenSlope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, lo, hi uint16) {
+		wide, narrow := fuzzSample(raw)
+		for _, vs := range [][]float64{wide, narrow} {
+			xs, ys := vs[:len(vs)/2], vs[len(vs)/2:len(vs)/2*2]
+			got, gotErr := SenSlope(xs, ys)
+			want, wantErr := sortSenSlope(xs, ys)
+			if !sameResult(got, gotErr, want, wantErr) {
+				t.Fatalf("SenSlope(%v, %v) = %v (%v), sort gives %v (%v)", xs, ys, got, gotErr, want, wantErr)
+			}
+			if wantErr != nil || math.IsNaN(want) {
+				continue
+			}
+			fx, fy := finitePairs(xs, ys)
+			slopes := finiteSlopes(fx, fy)
+			a, b := slopes[int(lo)%len(slopes)], slopes[int(hi)%len(slopes)]
+			if s, ok := bracketedSenSlope(fx, fy, min(a, b), max(a, b), 0); ok && !sameFloat(s, want) {
+				t.Fatalf("bracket [%v, %v] over (%v, %v) = %v, sort gives %v", min(a, b), max(a, b), xs, ys, s, want)
+			}
+		}
+	})
+}
+
+// finitePairs keeps the jointly finite (x, y) pairs.
+func finitePairs(xs, ys []float64) (fx, fy []float64) {
+	for i := range xs {
+		if finite(xs[i]) && finite(ys[i]) {
+			fx = append(fx, xs[i])
+			fy = append(fy, ys[i])
+		}
+	}
+	return fx, fy
+}
+
+// finiteSlopes lists every finite pair slope.
+func finiteSlopes(fx, fy []float64) []float64 {
+	var out []float64
+	for i := range fx {
+		for j := i + 1; j < len(fx); j++ {
+			if s := (fy[j] - fy[i]) / (fx[j] - fx[i]); finite(s) {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
+// TestSenSlopeBracketMiss forces the fallback: a bracket that holds
+// neither order statistic of the median reports a miss, and a bracket
+// around them gives the sort's bits.
+func TestSenSlopeBracketMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	xs, ys := make([]float64, 300), make([]float64, 300)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(40))
+		ys[i] = rng.NormFloat64() * 10
+	}
+	want, err := sortSenSlope(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slopes := finiteSlopes(xs, ys)
+	slices.Sort(slopes)
+	for _, c := range []struct {
+		name string
+		a, b float64
+		hit  bool
+	}{
+		{"below the median", slopes[0], slopes[len(slopes)/4], false},
+		{"above the median", slopes[3*len(slopes)/4], slopes[len(slopes)-1], false},
+		{"empty", math.MaxFloat64, math.MaxFloat64, false},
+		{"around the median", slopes[len(slopes)/2-10], slopes[len(slopes)/2+10], true},
+		{"every slope", slopes[0], slopes[len(slopes)-1], true},
+	} {
+		got, ok := bracketedSenSlope(xs, ys, c.a, c.b, 0.01)
+		if ok != c.hit {
+			t.Errorf("%s: ok = %v, want %v", c.name, ok, c.hit)
+		}
+		if ok && !sameFloat(got, want) {
+			t.Errorf("%s: %v, sort gives %v", c.name, got, want)
+		}
+	}
+	if got, err := SenSlope(xs, ys); err != nil || !sameFloat(got, want) {
+		t.Errorf("SenSlope = %v (%v), sort gives %v", got, err, want)
+	}
+}
+
+// TestSenSlopeBracketTies: pairs with equal x, +0 and −0 among them,
+// make the ±∞ and NaN slopes the pass does not test for, and the
+// counts must take them out exactly; a y range that could overflow a
+// slope is a miss under any bracket.
+func TestSenSlopeBracketTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xs, ys := make([]float64, 400), make([]float64, 400)
+	for i := range xs {
+		xs[i], ys[i] = float64(rng.Intn(8)), rng.NormFloat64()
+		if i%4 == 0 {
+			ys[i] = 0 // equal y at equal x: a NaN slope
+		}
+		if xs[i] == 0 && rng.Intn(2) == 0 {
+			xs[i] = math.Copysign(0, -1)
+		}
+	}
+	want, err := sortSenSlope(xs, ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slopes := finiteSlopes(xs, ys)
+	slices.Sort(slopes)
+	mid := len(slopes) / 2
+	for _, br := range [][2]float64{{slopes[0], slopes[len(slopes)-1]}, {slopes[mid-1], slopes[mid+1]}} {
+		if got, ok := bracketedSenSlope(xs, ys, br[0], br[1], 0); !ok || !sameFloat(got, want) {
+			t.Errorf("bracket %v: %v (ok %v), sort gives %v", br, got, ok, want)
+		}
+	}
+	if got, err := SenSlope(xs, ys); err != nil || !sameFloat(got, want) {
+		t.Errorf("SenSlope = %v (%v), sort gives %v", got, err, want)
+	}
+	ys[0], ys[1] = math.MaxFloat64, -math.MaxFloat64
+	if _, ok := bracketedSenSlope(xs, ys, -math.MaxFloat64, math.MaxFloat64, 0); ok {
+		t.Error("a y range that overflows took the bracket")
+	}
+	want, _ = sortSenSlope(xs, ys)
+	if got, err := SenSlope(xs, ys); err != nil || !sameFloat(got, want) {
+		t.Errorf("overflowing SenSlope = %v (%v), sort gives %v", got, err, want)
+	}
+}
+
+// TestSenSlopeSampledMatchesSort runs inputs large enough to take the
+// sampled bracket, tie-heavy and not.
+func TestSenSlopeSampledMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{260, 700} {
+		for trial := range 4 {
+			xs, ys := randomSample(rng, n), randomSample(rng, n)
+			if trial%2 == 1 {
+				for i := range xs {
+					xs[i], ys[i] = float64(rng.Intn(n/4)), rng.NormFloat64()
+				}
+			}
+			got, gotErr := SenSlope(xs, ys)
+			want, wantErr := sortSenSlope(xs, ys)
+			if !sameResult(got, gotErr, want, wantErr) {
+				t.Errorf("n=%d #%d: SenSlope = %v (%v), sort gives %v (%v)", n, trial, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}

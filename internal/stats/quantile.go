@@ -53,6 +53,13 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // non-empty xs, which it permutes in place.
 func quantileSelect(xs []float64, q float64) float64 {
 	lo, hi, frac := quantilePos(len(xs), q)
+	return selectInterp(xs, lo, hi, frac)
+}
+
+// selectInterp interpolates between order statistics lo and hi (hi is
+// lo or lo+1) of the finite xs by frac, as quantileSorted does between
+// sorted[lo] and sorted[hi]. It permutes xs in place.
+func selectInterp(xs []float64, lo, hi int, frac float64) float64 {
 	introselect(xs, lo, 2*bits.Len(uint(len(xs))))
 	if lo == hi {
 		return xs[lo]

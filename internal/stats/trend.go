@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 )
@@ -219,15 +221,31 @@ func tieGroupSizes(xs []float64) []int {
 // Pairs with equal x have no slope. A slope that is not finite, because
 // a difference overflowed, is left out of the median; the result is NaN
 // when no finite slope remains.
+//
+// It does not store the n(n−1)/2 slopes when it need not. The order
+// statistics of a fixed-seed sample of pair slopes bracket the median
+// in [a, b]; one branch-free pass over the pairs counts the slopes
+// below a and keeps only those in [a, b], and the finite slopes are
+// counted from the pairs with equal x, found by one sort. When both
+// order statistics the median interpolates lie in the bracket, they
+// are selected from the kept slopes, which gives the bits a selection
+// over every slope gives. When they do not, when a slope could
+// overflow, or when there are too few pairs to sample, the median is
+// selected from a buffer of every slope.
 func SenSlope(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: SenSlope length mismatch %d != %d", len(xs), len(ys))
 	}
-	var fx, fy []float64
-	for i := range xs {
-		if finite(xs[i]) && finite(ys[i]) {
-			fx = append(fx, xs[i])
-			fy = append(fy, ys[i])
+	// The jointly finite pairs; xs and ys themselves when all are.
+	fx, fy := xs, ys
+	notFinite := func(x float64) bool { return !finite(x) }
+	if slices.ContainsFunc(xs, notFinite) || slices.ContainsFunc(ys, notFinite) {
+		fx, fy = nil, nil
+		for i := range xs {
+			if finite(xs[i]) && finite(ys[i]) {
+				fx = append(fx, xs[i])
+				fy = append(fy, ys[i])
+			}
 		}
 	}
 	n := len(fx)
@@ -237,20 +255,173 @@ func SenSlope(xs, ys []float64) (float64, error) {
 	if !slices.ContainsFunc(fx, func(x float64) bool { return x != fx[0] }) {
 		return 0, fmt.Errorf("stats: SenSlope degenerate: all x equal")
 	}
-	// One buffer holds every slope; the median is selected in place.
+	if n*(n-1)/2 >= senSampleMinPairs {
+		if a, b, share, ok := senBracket(fx, fy); ok {
+			if s, ok := bracketedSenSlope(fx, fy, a, b, share); ok {
+				return s, nil
+			}
+		}
+	}
+	return allPairsSenSlope(fx, fy), nil
+}
+
+// Sampling the Theil–Sen bracket: senSample pair slopes are drawn from
+// a PCG seeded with senSeed, and the bracket spans senBracketWidth
+// standard deviations of the median's rank in the sample either side
+// of it (the rank of a sample of m is binomial, sd √m/2), so a miss is
+// a four-sigma event. Below senSampleMinPairs pairs the full buffer is
+// as cheap as the sample.
+const (
+	senSample         = 8192
+	senSeed           = 0x5e11
+	senBracketWidth   = 4
+	senSampleMinPairs = 4 * senSample
+)
+
+// senBracket draws the fixed sample of pair slopes and returns the
+// order statistics of its finite slopes that bracket their median, and
+// the share of the sample that lies between them. ok is false when too
+// few sampled slopes are finite to place a bracket.
+func senBracket(fx, fy []float64) (a, b, share float64, ok bool) {
+	n := len(fx)
+	rng := rand.New(rand.NewPCG(senSeed, senSeed))
+	sample := make([]float64, 0, senSample)
+	for range senSample {
+		// A pair i ≠ j, its indices scaled from the halves of one
+		// random word. Both negated differences give the same
+		// quotient, so the order of i and j does not matter.
+		r := rng.Uint64()
+		i, j := int((r>>32)*uint64(n)>>32), int((r&math.MaxUint32)*uint64(n-1)>>32)
+		j += b2i(j >= i)
+		if s := (fy[j] - fy[i]) / (fx[j] - fx[i]); finite(s) {
+			sample = append(sample, s)
+		}
+	}
+	m := len(sample)
+	if m < senSample/8 {
+		return 0, 0, 0, false
+	}
+	mid, half := float64(m-1)/2, senBracketWidth*math.Sqrt(float64(m))/2
+	lo := max(0, int(math.Floor(mid-half)))
+	hi := min(m-1, int(math.Ceil(mid+half)))
+	depth := 2 * bits.Len(uint(m))
+	introselect(sample, lo, depth)
+	introselect(sample[lo:], hi-lo, depth)
+	return sample[lo], sample[hi], float64(hi-lo+1) / senSample, true
+}
+
+// bracketedSenSlope returns the median of the finite pair slopes
+// selected from those in [a, b] alone; ok is false when a slope could
+// overflow, or an order statistic the median needs lies outside the
+// bracket. share, the expected fraction of pairs in the bracket, sizes
+// the buffer the kept slopes start in.
+//
+// The pass over the pairs tests no slope for finiteness. senTies finds
+// that no slope overflows and counts the pairs with equal x, whose zero
+// x difference makes the only infinite or NaN slopes, so the finite
+// count is the pair count less those; the −∞ among them fall below a
+// and are taken back out of that count.
+func bracketedSenSlope(fx, fy []float64, a, b, share float64) (float64, bool) {
+	ties, negInf, bounded := senTies(fx, fy)
+	if !bounded {
+		return 0, false
+	}
+	n := len(fx)
+	m, below := n*(n-1)/2-ties, -negInf
+	inside := make([]float64, 0, int(share*float64(n*(n-1)/2)*1.1)+n)
+	for i := 0; i < n-1; i++ {
+		inside = slices.Grow(inside, n-1-i)
+		lt, kept := senRow(fx[i+1:], fy[i+1:], fx[i], fy[i], a, b, inside[len(inside):len(inside)+n-1-i])
+		below += lt
+		inside = inside[:len(inside)+kept]
+	}
+	lo, hi, frac := quantilePos(m, 0.5)
+	if below > lo || hi >= below+len(inside) {
+		return 0, false
+	}
+	return selectInterp(inside, lo-below, hi-below, frac), true
+}
+
+// senRow scans the slopes from (xi, yi) to each point of rx, ry with
+// no branch per pair: below counts those under a, and the first kept
+// slots of row receive those in [a, b]. Every slope is written to the
+// next free slot, and the slot is kept by advancing kept only when the
+// slope is at most b and not under a. NaN is neither; −∞ is both, so it
+// adds to below alone.
+func senRow(rx, ry []float64, xi, yi, a, b float64, row []float64) (below, kept int) {
+	ry = ry[:len(rx)]
+	row = row[:len(rx)]
+	for j, x := range rx {
+		s := (ry[j] - yi) / (x - xi)
+		lt := b2i(s < a)
+		below += lt
+		row[kept] = s
+		kept += b2i(s <= b) - lt
+	}
+	return below, kept
+}
+
+// senTies counts the pairs of fx, fy with equal x, and among them the
+// negInf whose slope is −∞; their zero x difference makes every one's
+// slope infinite or NaN. bounded reports that every other slope is
+// finite: the y range over the least gap between distinct x is, and
+// rounding is monotone, so no quotient of a smaller y difference by a
+// larger x difference exceeds it.
+func senTies(fx, fy []float64) (ties, negInf int, bounded bool) {
+	// Ties keep the pairs' order, so each slope's sign is the one the
+	// pass computes.
+	idx := make([]int32, len(fx))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(p, q int32) int {
+		return cmp.Or(cmp.Compare(fx[p], fx[q]), cmp.Compare(p, q))
+	})
+	gap := math.Inf(1)
+	for lo := 0; lo < len(idx); {
+		x := fx[idx[lo]]
+		hi := lo + 1
+		for hi < len(idx) && fx[idx[hi]] == x {
+			hi++
+		}
+		for a := lo; a < hi; a++ {
+			for _, j := range idx[a+1 : hi] {
+				i := idx[a]
+				ties++
+				negInf += b2i(math.IsInf((fy[j]-fy[i])/(fx[j]-fx[i]), -1))
+			}
+		}
+		if hi < len(idx) {
+			gap = min(gap, fx[idx[hi]]-x)
+		}
+		lo = hi
+	}
+	return ties, negInf, finite((slices.Max(fy) - slices.Min(fy)) / gap)
+}
+
+// allPairsSenSlope selects the median from one buffer of every finite
+// pair slope.
+func allPairsSenSlope(fx, fy []float64) float64 {
+	n := len(fx)
 	slopes := make([]float64, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if fx[j] == fx[i] {
-				continue
-			}
 			if s := (fy[j] - fy[i]) / (fx[j] - fx[i]); finite(s) {
 				slopes = append(slopes, s)
 			}
 		}
 	}
 	if len(slopes) == 0 {
-		return math.NaN(), nil
+		return math.NaN()
 	}
-	return quantileSelect(slopes, 0.5), nil
+	return quantileSelect(slopes, 0.5)
+}
+
+// b2i is 1 for true and 0 for false, which the compiler lowers to a
+// flag set with no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
